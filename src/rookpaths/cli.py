@@ -14,6 +14,7 @@ from typing import TextIO
 
 from .exact_math import hockey_stick_sides
 from .icn_modules import (
+    ModuleVector,
     Subset,
     dim_principal_incl_excl,
     dim_principal_iterative,
@@ -94,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dir", required=True, choices=["dec", "inc"])
     p.add_argument("--heights", required=True, help="comma-separated heights, e.g. 4,3,3,1,1")
     p.add_argument("--method", default="auto", choices=["auto", "iterative", "determinant", "oracle"])
-    p.add_argument("--check", action="store_true", help="cross-check against the oracle")
+    p.add_argument("--check", action="store_true", help="cross-check against an independent route")
 
     p = add("paths-list", "list the height sequences below a given one")
     p.add_argument("--dir", required=True, choices=["dec", "inc"])
@@ -162,6 +163,12 @@ def _dim_subset(s: Subset, method: str) -> tuple[str, int]:
     return method, len(downset(s))
 
 
+def _dim_vector(v: ModuleVector, method: str) -> tuple[str, int]:
+    if method == "oracle":
+        return method, dim_submodule_oracle(v)
+    return "iterative", dim_submodule(v)
+
+
 def _emit_scalar(args, out: TextIO, payload: dict, value) -> None:
     if args.json:
         print(render_json({**payload, "value": str(value)}), file=out)
@@ -177,17 +184,25 @@ def _emit_list(args, out: TextIO, payload: dict, items: list[str], truncated: bo
             print(item, file=out)
 
 
+def _emit_checked(args, out: TextIO, err: TextIO, route, subject, given: dict) -> int:
+    """Compute by the requested method; under --check, compare an independent
+    route first: the oracle for every method, the iterative route for the
+    oracle itself, so no route vouches for its own value."""
+    method, value = route(subject, args.method)
+    if args.check:
+        other = "iterative" if method == "oracle" else "oracle"
+        reference = route(subject, other)[1]
+        if value != reference:
+            print(f"check failed: {method} gave {value}, {other} gave {reference}", file=err)
+            return DOMAIN_ERROR
+    _emit_scalar(args, out, {"input": given, "method": method}, value)
+    return 0
+
+
 def _cmd_paths_count(args, out: TextIO, err: TextIO) -> int:
     h = _parse_heights(args.dir, args.heights)
-    method, value = _count_paths(h, args.method)
-    if args.check:
-        reference = count_below_oracle(h)
-        if value != reference:
-            print(f"check failed: {method} gave {value}, oracle gave {reference}", file=err)
-            return DOMAIN_ERROR
-    payload = {"input": {"dir": args.dir, "heights": list(h.heights)}, "method": method}
-    _emit_scalar(args, out, payload, value)
-    return 0
+    given = {"dir": args.dir, "heights": list(h.heights)}
+    return _emit_checked(args, out, err, _count_paths, h, given)
 
 
 def _cmd_paths_list(args, out: TextIO, err: TextIO) -> int:
@@ -207,31 +222,14 @@ def _cmd_paths_list(args, out: TextIO, err: TextIO) -> int:
 
 def _cmd_dim_subset(args, out: TextIO, err: TextIO) -> int:
     s = Subset(args.n, _parse_csv_ints(getattr(args, "set")))
-    method, value = _dim_subset(s, args.method)
-    if args.check:
-        reference = len(downset(s))
-        if value != reference:
-            print(f"check failed: {method} gave {value}, oracle gave {reference}", file=err)
-            return DOMAIN_ERROR
-    payload = {"input": {"n": args.n, "set": list(s.elems)}, "method": method}
-    _emit_scalar(args, out, payload, value)
-    return 0
+    given = {"n": args.n, "set": list(s.elems)}
+    return _emit_checked(args, out, err, _dim_subset, s, given)
 
 
 def _cmd_dim_vector(args, out: TextIO, err: TextIO) -> int:
     v = parse_module_vector(args.vector, args.n)
-    if args.method == "oracle":
-        method, value = "oracle", dim_submodule_oracle(v)
-    else:
-        method, value = "iterative", dim_submodule(v)
-    if args.check:
-        reference = dim_submodule_oracle(v)
-        if value != reference:
-            print(f"check failed: {method} gave {value}, oracle gave {reference}", file=err)
-            return DOMAIN_ERROR
-    payload = {"input": {"n": args.n, "vector": args.vector}, "method": method}
-    _emit_scalar(args, out, payload, value)
-    return 0
+    given = {"n": args.n, "vector": args.vector}
+    return _emit_checked(args, out, err, _dim_vector, v, given)
 
 
 def _cmd_reduce(args, out: TextIO, err: TextIO) -> int:

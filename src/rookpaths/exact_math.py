@@ -8,12 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-# Semantic aliases: counts, determinants and dimensions are exact integers,
-# module coefficients are exact rationals.
-BigInt = int
-Rational = Fraction
 
 
 def binomial(n: int, k: int) -> int:

@@ -24,12 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from operator import add, sub
 from typing import Iterator, Mapping
 
 from .exact_math import IntMatrix, binomial, catalan, det_exact
 from .lattice_paths import (
+    Direction,
     HeightSequence,
     count_below_decreasing_iterative,
+    iter_monotone_below,
 )
 from .rook_monoid import PartialInjection, is_order_decreasing, is_order_preserving
 
@@ -89,20 +92,15 @@ def subset_meet(s: Subset, t: Subset) -> Subset:
 
 
 def iter_downset(s: Subset) -> Iterator[Subset]:
-    """Yield every subset T <= S in ascending lexicographic order."""
-    elems = s.elems
-    k = len(elems)
+    """Yield every subset T <= S in ascending lexicographic order.
 
-    def rec(i: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield ()
-            return
-        for v in range(lo, elems[i] + 1):
-            for rest in rec(i + 1, v + 1):
-                yield (v, *rest)
-
-    for t in rec(0, 1):
-        yield Subset(s.n, t)
+    Shifting by position, u_i = t_i - i, turns the strictly increasing T <= S
+    into the weakly increasing sequences u below s_i - i.
+    """
+    shift = range(1, len(s.elems) + 1)
+    gaps = tuple(map(sub, s.elems, shift))
+    for u in iter_monotone_below(gaps, Direction.INCREASING):
+        yield Subset(s.n, tuple(map(add, u, shift)))
 
 
 def downset(s: Subset) -> list[Subset]:
@@ -233,14 +231,11 @@ def dim_principal_iterative(s: Subset) -> int:
     """Dimension of the cyclic module generated by v_S, via the iterative count.
 
     Counts the subsets T <= S by translating S into the decreasing height
-    sequence of its gaps; a singleton {s_1} gives s_1 directly, and the empty
-    subset spans the one-dimensional piece F v_{} by convention.
+    sequence of its gaps; the empty subset spans the one-dimensional piece
+    F v_{} by convention.
     """
-    elems = s.elems
-    if len(elems) == 0:
+    if not s.elems:
         return 1
-    if len(elems) == 1:
-        return elems[0]
     return count_below_decreasing_iterative(_heights_for_subset(s))
 
 

@@ -249,45 +249,51 @@ def count_below_oracle(h: HeightSequence) -> int:
     """Count monotone sequences mu with 0 <= mu_i <= h_i by dynamic programming.
 
     Works for either direction and is independent of both closed-form routes,
-    which are cross-checked against it.
+    which are cross-checked against it.  An increasing boundary is counted as
+    its mirror: reading right to left maps the sequences below one onto the
+    sequences below the other.
     """
+    if h.direction is Direction.INCREASING:
+        h = h.mirror()
     hs = h.heights
+    # cur[m] counts the admissible prefixes ending in m; the next entry is at
+    # most m, so the next counts are suffix sums of these.
     cur = [1] * (hs[0] + 1)
-    if h.direction is Direction.DECREASING:
-        for prev_bound, bound in zip(hs, hs[1:]):
-            suffix = [0] * (prev_bound + 2)
-            for m in range(prev_bound, -1, -1):
-                suffix[m] = suffix[m + 1] + cur[m]
-            cur = [suffix[m] for m in range(bound + 1)]
-    else:
-        for prev_bound, bound in zip(hs, hs[1:]):
-            prefix = list(accumulate(cur))
-            cur = [prefix[min(m, prev_bound)] for m in range(bound + 1)]
+    for bound in hs[1:]:
+        cur = list(accumulate(reversed(cur)))[::-1][: bound + 1]
     return sum(cur)
+
+
+def iter_monotone_below(
+    bounds: tuple[int, ...], direction: Direction
+) -> Iterator[tuple[int, ...]]:
+    """Yield every weakly monotone tuple x below the bounds h, in ascending
+    lexicographic order: 0 <= x_i <= min(h_i, x_{i-1}) when decreasing,
+    x_{i-1} <= x_i <= h_i (and 0 <= x_1) when increasing.  Increasing bounds
+    must themselves increase weakly, as height sequences and shifted subsets
+    s_i - i do.  The empty bound yields the empty tuple once.
+
+    An odometer, not a recursion, so any length works: after each tuple the
+    rightmost entry below its cap goes up by one and every entry after it
+    drops to its least value (0, or the new entry when increasing).
+    """
+    decreasing = direction is Direction.DECREASING
+    k = len(bounds)
+    x = [0] * k
+    while True:
+        yield tuple(x)
+        i = k - 1
+        while i >= 0 and (x[i] >= bounds[i] or decreasing and i and x[i] >= x[i - 1]):
+            i -= 1
+        if i < 0:
+            return
+        x[i] += 1
+        x[i + 1 :] = [0 if decreasing else x[i]] * (k - 1 - i)
 
 
 def iter_below(h: HeightSequence) -> Iterator[HeightSequence]:
     """Yield every sequence below h in ascending lexicographic order."""
-    hs = h.heights
-    k = len(hs)
-    decreasing = h.direction is Direction.DECREASING
-    buf = [0] * k
-
-    def rec(i: int) -> Iterator[HeightSequence]:
-        if i == k:
-            yield HeightSequence(h.direction, tuple(buf))
-            return
-        if decreasing:
-            lo = 0
-            hi = min(hs[i], buf[i - 1]) if i > 0 else hs[i]
-        else:
-            lo = buf[i - 1] if i > 0 else 0
-            hi = hs[i]
-        for v in range(lo, hi + 1):
-            buf[i] = v
-            yield from rec(i + 1)
-
-    return rec(0)
+    return (HeightSequence(h.direction, x) for x in iter_monotone_below(h.heights, h.direction))
 
 
 class BelowEnumeration(NamedTuple):

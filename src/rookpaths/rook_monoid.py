@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator
+from operator import add, sub
 
 from .exact_math import IntMatrix
+from .lattice_paths import Direction, iter_monotone_below
 
 
 @dataclass(frozen=True)
@@ -127,22 +128,6 @@ def parse_two_line(text: str, n: int) -> PartialInjection:
     return PartialInjection(n, tuple(pairs))
 
 
-def _images_below(sources: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # All strictly increasing tuples (r_1 < ... < r_k) with r_i <= sources[i],
-    # in lexicographic order.
-    k = len(sources)
-
-    def rec(i: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield ()
-            return
-        for v in range(lo, sources[i] + 1):
-            for rest in rec(i + 1, v + 1):
-                yield (v, *rest)
-
-    return rec(0, 1)
-
-
 def enumerate_icn(n: int, max_n: int = 10) -> list[PartialInjection]:
     """All order preserving, order decreasing maps of {1..n}.
 
@@ -157,6 +142,9 @@ def enumerate_icn(n: int, max_n: int = 10) -> list[PartialInjection]:
     )
     out = []
     for dom in domains:
-        for img in _images_below(dom):
-            out.append(PartialInjection(n, tuple(zip(dom, img))))
+        # The ranges below dom, shifted by position as in iter_downset.
+        shift = range(1, len(dom) + 1)
+        gaps = tuple(map(sub, dom, shift))
+        for u in iter_monotone_below(gaps, Direction.INCREASING):
+            out.append(PartialInjection(n, tuple(zip(dom, map(add, u, shift)))))
     return out

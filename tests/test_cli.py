@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from rookpaths import cli
 from rookpaths.cli import run
 
 
@@ -207,6 +208,47 @@ def test_domain_errors_exit_2():
 def test_no_crash_on_weird_input():
     code, _, err = invoke(["paths-count", "--dir", "dec", "--heights", ",,,"])
     assert code == 2 and err
+
+
+def test_check_of_the_oracle_uses_an_independent_route(monkeypatch):
+    # With every oracle off by one, checking the oracle against itself would
+    # pass; the check must use another route and catch the error.
+    count, down, dim = cli.count_below_oracle, cli.downset, cli.dim_submodule_oracle
+    monkeypatch.setattr(cli, "count_below_oracle", lambda h: count(h) + 1)
+    monkeypatch.setattr(cli, "downset", lambda s: down(s) + [s])
+    monkeypatch.setattr(cli, "dim_submodule_oracle", lambda v: dim(v) + 1)
+    for argv in [
+        ["paths-count", "--dir", "dec", "--heights", "4,2"],
+        ["paths-count", "--dir", "inc", "--heights", "1,2,4"],
+        ["dim-subset", "--n", "8", "--set", "2,4,6"],
+        ["dim-vector", "--n", "7", "--vector", "1:{3};1:{4,7}"],
+    ]:
+        code, out, err = invoke(argv + ["--method", "oracle", "--check"])
+        assert code == 2, argv
+        assert not out
+        assert "check failed: oracle gave" in err and "iterative gave" in err, argv
+
+
+def test_long_inputs_do_not_exhaust_the_stack():
+    ones = ",".join(["1"] * 1500)
+    code, out, _ = invoke(["paths-list", "--dir", "dec", "--heights", ones, "--cap", "3"])
+    assert code == 0
+    assert out.splitlines() == [
+        ",".join(["0"] * 1500),
+        ",".join(["1"] + ["0"] * 1499),
+        ",".join(["1", "1"] + ["0"] * 1498),
+    ]
+    code, out, _ = invoke(["paths-list", "--dir", "inc", "--heights", ones, "--cap", "3"])
+    assert code == 0
+    assert out.splitlines() == [
+        ",".join(["0"] * 1500),
+        ",".join(["0"] * 1499 + ["1"]),
+        ",".join(["0"] * 1498 + ["1", "1"]),
+    ]
+    full = ",".join(str(e) for e in range(1, 1501))
+    code, out, _ = invoke(["dim-subset", "--n", "1500", "--set", full, "--method", "oracle"])
+    assert code == 0
+    assert out == "1\n"
 
 
 def test_check_never_mismatches_on_exhaustive_ranges():

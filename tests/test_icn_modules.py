@@ -27,6 +27,7 @@ from rookpaths import (
     enumerate_icn,
     format_module_vector,
     interval_family_subset,
+    iter_downset,
     mixed_family_subset,
     parse_module_vector,
     reduced_form,
@@ -195,6 +196,20 @@ def test_downset_listing():
         (2, 4),
     ]
     assert downset(Subset(3, ())) == [Subset(3, ())]
+
+
+def test_downset_matches_lexicographic_brute_force():
+    # combinations() lists subsets lexicographically, so filtering it by
+    # T <= S gives the expected listing in both content and order.
+    for n in range(1, 8):
+        for s in subsets_of(n):
+            expected = [
+                t
+                for t in combinations(range(1, n + 1), len(s))
+                if all(a <= b for a, b in zip(t, s.elems))
+            ]
+            assert [t.elems for t in iter_downset(s)] == expected, s
+            assert downset(s) == [Subset(n, t) for t in expected]
 
 
 def test_downset_containment_characterizes_order():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -256,6 +257,24 @@ def test_enumerate_below_degenerate_and_truncated():
 def test_enumerate_below_rejects_zero_cap():
     with pytest.raises(ValueError):
         enumerate_below(dec((1,)), 0)
+
+
+def test_iter_below_matches_lexicographic_brute_force():
+    # product() lists tuples lexicographically, so filtering it gives the
+    # expected listing in both content and order.
+    for k in range(1, 5):
+        for bound in combinations_with_replacement(range(4), k):
+            for h in (inc(bound), dec(bound[::-1])):
+                step = -1 if h.direction is Direction.DECREASING else 1
+                expected = [
+                    x
+                    for x in product(range(max(bound) + 1), repeat=k)
+                    if all(a <= b for a, b in zip(x, h.heights))
+                    and all(step * (b - a) >= 0 for a, b in zip(x, x[1:]))
+                ]
+                listed = [u.heights for u in iter_below(h)]
+                assert listed == expected, h
+                assert all(u.direction is h.direction for u in iter_below(h))
 
 
 def test_enumeration_size_matches_count():
