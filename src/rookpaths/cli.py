@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on a usage error (bad command or flags), 2 on a
 domain error (well-formed flags carrying invalid mathematical input).  All
-big integers are rendered as decimal strings, never floats.
+big integers are rendered as decimal strings, never floats, at any length.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from typing import TextIO
 
 from .exact_math import hockey_stick_sides
@@ -24,7 +25,6 @@ from .icn_modules import (
     format_module_vector,
     parse_module_vector,
     reduced_form,
-    reduced_support,
 )
 from .lattice_paths import (
     Direction,
@@ -75,6 +75,12 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
 def _parse_heights(dir_text: str, heights_text: str) -> HeightSequence:
     direction = Direction(dir_text)
     return HeightSequence(direction, _parse_csv_ints(heights_text))
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n.  Unlike str(n) this does not stop at the
+    interpreter's limit on integer string conversion (4300 digits by default)."""
+    return str(Decimal(n))
 
 
 def render_json(payload: dict) -> str:
@@ -169,11 +175,11 @@ def _dim_vector(v: ModuleVector, method: str) -> tuple[str, int]:
     return "iterative", dim_submodule(v)
 
 
-def _emit_scalar(args, out: TextIO, payload: dict, value) -> None:
+def _emit_scalar(args, out: TextIO, payload: dict, text: str) -> None:
     if args.json:
-        print(render_json({**payload, "value": str(value)}), file=out)
+        print(render_json({**payload, "value": text}), file=out)
     else:
-        print(value, file=out)
+        print(text, file=out)
 
 
 def _emit_list(args, out: TextIO, payload: dict, items: list[str], truncated: bool) -> None:
@@ -193,9 +199,10 @@ def _emit_checked(args, out: TextIO, err: TextIO, route, subject, given: dict) -
         other = "iterative" if method == "oracle" else "oracle"
         reference = route(subject, other)[1]
         if value != reference:
-            print(f"check failed: {method} gave {value}, {other} gave {reference}", file=err)
+            got = f"{method} gave {_digits(value)}, {other} gave {_digits(reference)}"
+            print(f"check failed: {got}", file=err)
             return DOMAIN_ERROR
-    _emit_scalar(args, out, {"input": given, "method": method}, value)
+    _emit_scalar(args, out, {"input": given, "method": method}, _digits(value))
     return 0
 
 
@@ -234,14 +241,12 @@ def _cmd_dim_vector(args, out: TextIO, err: TextIO) -> int:
 
 def _cmd_reduce(args, out: TextIO, err: TextIO) -> int:
     v = parse_module_vector(args.vector, args.n)
-    red = sorted(
-        reduced_support(v).reduced_support, key=lambda s: (len(s.elems), s.elems)
-    )
-    formed = format_module_vector(reduced_form(v))
+    reduced = reduced_form(v)
+    formed = format_module_vector(reduced)
     if args.json:
         payload = {
             "input": {"n": args.n, "vector": args.vector},
-            "reduced_support": [list(s.elems) for s in red],
+            "reduced_support": [list(s.elems) for s, _ in reduced.sorted_terms()],
             "reduced_form": formed,
         }
         print(render_json(payload), file=out)
@@ -252,7 +257,7 @@ def _cmd_reduce(args, out: TextIO, err: TextIO) -> int:
 
 def _cmd_monoid_size(args, out: TextIO, err: TextIO) -> int:
     value = len(enumerate_icn(args.n))
-    _emit_scalar(args, out, {"input": {"n": args.n}}, value)
+    _emit_scalar(args, out, {"input": {"n": args.n}}, _digits(value))
     return 0
 
 
@@ -296,10 +301,11 @@ def _cmd_verify(args, out: TextIO, err: TextIO) -> int:
         equal = lhs == rhs
         given = {"identity": "hockey", "a": args.a, "b": args.b, "p": args.p}
     if args.json:
-        payload = {"input": given, "lhs": str(lhs), "rhs": str(rhs), "equal": equal}
+        payload = {"input": given, "lhs": _digits(lhs), "rhs": _digits(rhs), "equal": equal}
         print(render_json(payload), file=out)
     else:
-        print(f"lhs={lhs} rhs={rhs} equal={'true' if equal else 'false'}", file=out)
+        verdict = "true" if equal else "false"
+        print(f"lhs={_digits(lhs)} rhs={_digits(rhs)} equal={verdict}", file=out)
     return 0
 
 

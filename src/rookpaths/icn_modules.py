@@ -27,11 +27,12 @@ from itertools import combinations
 from operator import add, sub
 from typing import Iterator, Mapping
 
-from .exact_math import IntMatrix, binomial, catalan, det_exact
+from .exact_math import binomial, catalan
 from .lattice_paths import (
     Direction,
     HeightSequence,
     count_below_decreasing_iterative,
+    count_below_increasing_determinant,
     iter_monotone_below,
 )
 from .rook_monoid import PartialInjection, is_order_decreasing, is_order_preserving
@@ -242,24 +243,18 @@ def dim_principal_iterative(s: Subset) -> int:
 def dim_principal_incl_excl(s: Subset) -> int:
     """Dimension of the module generated by v_S, by inclusion-exclusion.
 
-    Sums (-1)^{|S - T|} det C(t_i + 1, j - i + 1) over all subsets T of S;
-    the empty T contributes the 0x0 determinant 1.
+    Sums (-1)^{|S - T|} det C(t_i + 1, j - i + 1) over all subsets T of S,
+    each by count_below_increasing_determinant; the empty T contributes 1.
     """
     elems = s.elems
     k = len(elems)
     if k > MAX_INCL_EXCL_SIZE:
         raise ValueError(f"subset size {k} exceeds bound {MAX_INCL_EXCL_SIZE}")
-    total = 0
-    for size in range(k + 1):
-        for t in combinations(elems, size):
-            m = IntMatrix(
-                tuple(
-                    tuple(binomial(t[i] + 1, j - i + 1) for j in range(size))
-                    for i in range(size)
-                )
-            )
-            total += (-1) ** (k - size) * det_exact(m)
-    return total
+    return (-1) ** k + sum(
+        (-1) ** (k - size) * count_below_increasing_determinant(HeightSequence.increasing(t))
+        for size in range(1, k + 1)
+        for t in combinations(elems, size)
+    )
 
 
 def catalan_family_subset(k: int, n: int | None = None) -> Subset:

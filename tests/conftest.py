@@ -3,7 +3,14 @@
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from hypothesis import settings
+
 from rookpaths import ModuleVector, PartialInjection, Subset
+
+# Property tests draw the same examples on every run and are not timed per
+# example, so a slow or busy machine cannot make them flaky.
+settings.register_profile("rookpaths", derandomize=True, deadline=None, database=None)
+settings.load_profile("rookpaths")
 
 
 def all_partial_injections(n):

@@ -189,6 +189,9 @@ def test_domain_errors_exit_2():
         ["paths-count", "--dir", "dec", "--heights", "1,5"],
         ["paths-count", "--dir", "dec", "--heights", "4,x"],
         ["paths-count", "--dir", "dec", "--heights", ""],
+        # Over the oracle's cell bound; 2^63 so that no table is ever allocated.
+        ["paths-count", "--dir", "dec", "--heights", "9223372036854775808", "--method", "oracle"],
+        ["paths-count", "--dir", "dec", "--heights", "9223372036854775808", "--check"],
         ["paths-list", "--dir", "dec", "--heights", "1", "--cap", "0"],
         ["dim-subset", "--n", "8", "--set", "3,3"],
         ["dim-subset", "--n", "4", "--set", "9"],
@@ -208,6 +211,21 @@ def test_domain_errors_exit_2():
 def test_no_crash_on_weird_input():
     code, _, err = invoke(["paths-count", "--dir", "dec", "--heights", ",,,"])
     assert code == 2 and err
+
+
+def test_answers_longer_than_the_string_conversion_limit_print_exactly():
+    # 4300 nines parse (the limit is 4300 digits); the count below them,
+    # 10^4300, has 4301 digits.
+    nines = "9" * 4300
+    plain, payload = plain_and_json(["paths-count", "--dir", "dec", "--heights", nines])
+    assert plain == "1" + "0" * 4300 + "\n"
+    assert payload["value"] == "1" + "0" * 4300
+    argv = ["verify", "--identity", "hockey", "--a", "20000", "--b", "2", "--p", "10000"]
+    plain, payload = plain_and_json(argv)
+    lhs, rhs, equal = plain.split()
+    assert lhs == "lhs=" + payload["lhs"] and rhs == "rhs=" + payload["rhs"]
+    assert payload["lhs"] == payload["rhs"] and len(payload["lhs"]) > 4300
+    assert equal == "equal=true" and payload["equal"] is True
 
 
 def test_check_of_the_oracle_uses_an_independent_route(monkeypatch):

@@ -6,12 +6,15 @@ import pytest
 from rookpaths import (
     Direction,
     HeightSequence,
+    IntMatrix,
     LatticePath,
+    binomial,
     catalan,
     compute_gammas,
     count_below_decreasing_iterative,
     count_below_increasing_determinant,
     count_below_oracle,
+    det_exact,
     enumerate_below,
     heights_from_path,
     is_below,
@@ -197,6 +200,27 @@ def test_determinant_equivalence_exhaustive():
             assert count_below_increasing_determinant(a) == count_below_oracle(a)
 
 
+def test_determinant_route_matches_bareiss_on_random_boundaries():
+    # Past the exhaustive range: the Hessenberg expansion against the Bareiss
+    # determinant of the full matrix C(a_i + 1, j - i + 1).
+    rng = random.Random(1985)
+    for _ in range(300):
+        k = rng.randint(1, 12)
+        a = sorted(rng.randint(0, 40) for _ in range(k))
+        matrix = IntMatrix(
+            tuple(tuple(binomial(a[i] + 1, j - i + 1) for j in range(k)) for i in range(k))
+        )
+        assert count_below_increasing_determinant(inc(a)) == det_exact(matrix), a
+
+
+def test_oracle_refuses_boundaries_over_its_cell_bound():
+    # Heights of 2^63 and more: refused before any table is allocated.
+    with pytest.raises(ValueError, match="exceed bound 10000000"):
+        count_below_oracle(dec((2**63,)))
+    with pytest.raises(ValueError, match="exceed bound 10000000"):
+        count_below_oracle(inc((0, 2**64)))
+
+
 def test_mirror_symmetry_exhaustive():
     for k in range(1, 7):
         for heights in all_decreasing(k, 6):
@@ -234,6 +258,7 @@ def test_catalan_staircase():
     for k in range(1, 11):
         lam = dec(tuple(range(k, 0, -1)))
         assert count_below_decreasing_iterative(lam) == catalan(k + 1)
+    assert count_below_increasing_determinant(inc(range(1, 161))) == catalan(161)
 
 
 # -------------------------------------------------------------- enumeration
@@ -307,8 +332,10 @@ def test_identity_cor34_needs_length_two():
 def test_identity_cor34_exhaustive():
     for k in range(2, 7):
         for heights in all_decreasing(k, 6):
-            det_side, iter_side, equal = verify_identity_cor34(dec(heights))
+            lam = dec(heights)
+            det_side, iter_side, equal = verify_identity_cor34(lam)
             assert equal and det_side == iter_side
+            assert det_side == count_below_increasing_determinant(lam.mirror())
 
 
 def test_identity_cor35_values():
