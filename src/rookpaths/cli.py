@@ -15,7 +15,6 @@ from typing import TextIO
 
 from .exact_math import hockey_stick_sides
 from .icn_modules import (
-    ModuleVector,
     Subset,
     dim_principal_incl_excl,
     dim_principal_iterative,
@@ -46,17 +45,75 @@ class _UsageError(Exception):
     pass
 
 
+class _CheckFailed(Exception):
+    pass
+
+
+class _Help(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract here is 1.
     def error(self, message):
         raise _UsageError(message)
+
+    # argparse writes help to sys.stdout and exits; run writes it to out.
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
+
+DEC, INC = Direction.DECREASING, Direction.INCREASING
+
+
+def _facing(h: HeightSequence, direction: Direction) -> HeightSequence:
+    """h, or its mirror when h runs the other way; both have one below-count."""
+    return h if h.direction is direction else h.mirror()
+
+
+# The routes of each checked command in --method order, and the route auto
+# picks for an input.  Under --check the last route (the oracle) checks every
+# other route and the first checks the oracle, so no route vouches for itself.
+# Entries look the library names up when called, so rebinding a module-level
+# name here (a test's patch, the benchmark's tracer) reaches every route.
+_ROUTES = {
+    "paths-count": (
+        {
+            "iterative": lambda h: count_below_decreasing_iterative(_facing(h, DEC)),
+            "determinant": lambda h: count_below_increasing_determinant(_facing(h, INC)),
+            "oracle": lambda h: count_below_oracle(h),
+        },
+        lambda h: "iterative" if h.direction is DEC else "determinant",
+    ),
+    "dim-subset": (
+        {
+            "iterative": lambda s: dim_principal_iterative(s),
+            "determinant": lambda s: dim_principal_incl_excl(s),
+            "oracle": lambda s: len(downset(s)),
+        },
+        lambda s: "iterative",
+    ),
+    "dim-vector": (
+        {"iterative": lambda v: dim_submodule(v), "oracle": lambda v: dim_submodule_oracle(v)},
+        lambda v: "iterative",
+    ),
+}
+
+
+def _not_an_int(text: str, message: str) -> str:
+    """message, or the interpreter's limit on int() (4300 digits by default;
+    none before Python 3.10.7) when a comma-separated token is over it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if any(0 < limit < sum(map(str.isdigit, tok)) for tok in text.split(",")):
+        return f"integers are limited to {limit} digits, got {text[:20]!r}..."
+    return message
 
 
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise argparse.ArgumentTypeError(_not_an_int(text, f"{text!r} is not an integer")) from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
     return value
@@ -69,7 +126,8 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        message = f"expected comma-separated integers, got {text!r}"
+        raise ValueError(_not_an_int(text, message)) from None
 
 
 def _parse_heights(dir_text: str, heights_text: str) -> HeightSequence:
@@ -83,206 +141,81 @@ def _digits(n: int) -> str:
     return str(Decimal(n))
 
 
-def render_json(payload: dict) -> str:
-    """Compact JSON with insertion key order preserved."""
-    return json.dumps(payload, separators=(",", ":"))
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="rookpaths", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit a JSON payload")
-        return p
-
-    p = add("paths-count", "count monotone lattice paths below a height sequence")
-    p.add_argument("--dir", required=True, choices=["dec", "inc"])
-    p.add_argument("--heights", required=True, help="comma-separated heights, e.g. 4,3,3,1,1")
-    p.add_argument("--method", default="auto", choices=["auto", "iterative", "determinant", "oracle"])
-    p.add_argument("--check", action="store_true", help="cross-check against an independent route")
-
-    p = add("paths-list", "list the height sequences below a given one")
-    p.add_argument("--dir", required=True, choices=["dec", "inc"])
-    p.add_argument("--heights", required=True)
-    p.add_argument("--cap", type=_nonnegative_int, default=1000)
-
-    p = add("dim-subset", "dimension of the module generated by one basis vector")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--set", required=True, help="comma-separated subset, e.g. 2,4,6")
-    p.add_argument("--method", default="auto", choices=["auto", "iterative", "determinant", "oracle"])
-    p.add_argument("--check", action="store_true")
-
-    p = add("dim-vector", "dimension of the module generated by a vector")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--vector", required=True, help='terms like "1:{};1:{3};1:{4,7}"')
-    p.add_argument("--method", default="auto", choices=["auto", "iterative", "oracle"])
-    p.add_argument("--check", action="store_true")
-
-    p = add("reduce", "reduced support and reduced form of a vector")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--vector", required=True)
-
-    p = add("monoid-size", "number of order preserving, order decreasing maps")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-
-    p = add("monoid-list", "list the monoid elements in two-line notation")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--cap", type=_nonnegative_int, default=1000)
-
-    p = add("monoid-compose", "compose two maps given in two-line notation")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--f", required=True, help='two-line text, e.g. "1 3 4 / 1 2 3"')
-    p.add_argument("--g", required=True)
-
-    p = add("verify", "evaluate both sides of a combinatorial identity")
-    p.add_argument("--identity", required=True, choices=["cor34", "cor35", "hockey"])
-    p.add_argument("--heights", help="decreasing heights (cor34)")
-    p.add_argument("--k", type=_nonnegative_int, help="staircase size (cor35)")
-    p.add_argument("--a", type=_nonnegative_int, help="sum start (hockey)")
-    p.add_argument("--b", type=_nonnegative_int, help="number of summands (hockey)")
-    p.add_argument("--p", type=_nonnegative_int, help="lower binomial index (hockey)")
-
-    return parser
-
-
-def _count_paths(h: HeightSequence, method: str) -> tuple[str, int]:
-    # Explicit iterative/determinant requests on the "wrong" direction go
-    # through the mirrored sequence, which has the same below-count.
-    if method == "auto":
-        method = "iterative" if h.direction is Direction.DECREASING else "determinant"
-    if method == "iterative":
-        lam = h if h.direction is Direction.DECREASING else h.mirror()
-        return method, count_below_decreasing_iterative(lam)
-    if method == "determinant":
-        a = h if h.direction is Direction.INCREASING else h.mirror()
-        return method, count_below_increasing_determinant(a)
-    return method, count_below_oracle(h)
-
-
-def _dim_subset(s: Subset, method: str) -> tuple[str, int]:
-    if method in ("auto", "iterative"):
-        return "iterative", dim_principal_iterative(s)
-    if method == "determinant":
-        return method, dim_principal_incl_excl(s)
-    return method, len(downset(s))
-
-
-def _dim_vector(v: ModuleVector, method: str) -> tuple[str, int]:
-    if method == "oracle":
-        return method, dim_submodule_oracle(v)
-    return "iterative", dim_submodule(v)
-
-
-def _emit_scalar(args, out: TextIO, payload: dict, text: str) -> None:
-    if args.json:
-        print(render_json({**payload, "value": text}), file=out)
-    else:
-        print(text, file=out)
-
-
-def _emit_list(args, out: TextIO, payload: dict, items: list[str], truncated: bool) -> None:
-    if args.json:
-        print(render_json({**payload, "items": items, "truncated": truncated}), file=out)
-    else:
-        for item in items:
-            print(item, file=out)
-
-
-def _emit_checked(args, out: TextIO, err: TextIO, route, subject, given: dict) -> int:
-    """Compute by the requested method; under --check, compare an independent
-    route first: the oracle for every method, the iterative route for the
-    oracle itself, so no route vouches for its own value."""
-    method, value = route(subject, args.method)
+def _checked(args, subject) -> tuple[dict, list[str]]:
+    """Compute by the requested route; under --check, compare with the
+    partner route from _ROUTES first."""
+    routes, auto = _ROUTES[args.command]
+    method = auto(subject) if args.method == "auto" else args.method
+    value = routes[method](subject)
     if args.check:
-        other = "iterative" if method == "oracle" else "oracle"
-        reference = route(subject, other)[1]
+        first, *_, oracle = routes
+        other = first if method == oracle else oracle
+        reference = routes[other](subject)
         if value != reference:
-            got = f"{method} gave {_digits(value)}, {other} gave {_digits(reference)}"
-            print(f"check failed: {got}", file=err)
-            return DOMAIN_ERROR
-    _emit_scalar(args, out, {"input": given, "method": method}, _digits(value))
-    return 0
+            raise _CheckFailed(f"{method} gave {_digits(value)}, {other} gave {_digits(reference)}")
+    text = _digits(value)
+    return {"method": method, "value": text}, [text]
 
 
-def _cmd_paths_count(args, out: TextIO, err: TextIO) -> int:
+# Each handler returns (input, fields, text lines): the JSON payload is
+# {"input": input, **fields}, and text mode prints the lines.
+
+
+def _cmd_paths_count(args):
     h = _parse_heights(args.dir, args.heights)
-    given = {"dir": args.dir, "heights": list(h.heights)}
-    return _emit_checked(args, out, err, _count_paths, h, given)
+    return {"dir": args.dir, "heights": list(h.heights)}, *_checked(args, h)
 
 
-def _cmd_paths_list(args, out: TextIO, err: TextIO) -> int:
+def _cmd_paths_list(args):
     h = _parse_heights(args.dir, args.heights)
-    result = enumerate_below(h, args.cap)
-    payload = {"input": {"dir": args.dir, "heights": list(h.heights), "cap": args.cap}}
-    if args.json:
-        items = [list(item.heights) for item in result.items]
-        print(render_json({**payload, "items": items, "truncated": result.truncated}), file=out)
-    else:
-        for item in result.items:
-            print(",".join(str(x) for x in item.heights), file=out)
-        if result.truncated:
-            print("output truncated at cap", file=err)
-    return 0
+    items, truncated = enumerate_below(h, args.cap)
+    given = {"dir": args.dir, "heights": list(h.heights), "cap": args.cap}
+    fields = {"items": [x.heights for x in items], "truncated": truncated}
+    return given, fields, (",".join(map(str, x.heights)) for x in items)
 
 
-def _cmd_dim_subset(args, out: TextIO, err: TextIO) -> int:
+def _cmd_dim_subset(args):
     s = Subset(args.n, _parse_csv_ints(getattr(args, "set")))
-    given = {"n": args.n, "set": list(s.elems)}
-    return _emit_checked(args, out, err, _dim_subset, s, given)
+    return {"n": args.n, "set": list(s.elems)}, *_checked(args, s)
 
 
-def _cmd_dim_vector(args, out: TextIO, err: TextIO) -> int:
+def _cmd_dim_vector(args):
     v = parse_module_vector(args.vector, args.n)
-    given = {"n": args.n, "vector": args.vector}
-    return _emit_checked(args, out, err, _dim_vector, v, given)
+    return {"n": args.n, "vector": args.vector}, *_checked(args, v)
 
 
-def _cmd_reduce(args, out: TextIO, err: TextIO) -> int:
-    v = parse_module_vector(args.vector, args.n)
-    reduced = reduced_form(v)
+def _cmd_reduce(args):
+    reduced = reduced_form(parse_module_vector(args.vector, args.n))
     formed = format_module_vector(reduced)
-    if args.json:
-        payload = {
-            "input": {"n": args.n, "vector": args.vector},
-            "reduced_support": [list(s.elems) for s, _ in reduced.sorted_terms()],
-            "reduced_form": formed,
-        }
-        print(render_json(payload), file=out)
-    else:
-        print(formed, file=out)
-    return 0
+    fields = {
+        "reduced_support": [s.elems for s, _ in reduced.sorted_terms()],
+        "reduced_form": formed,
+    }
+    return {"n": args.n, "vector": args.vector}, fields, [formed]
 
 
-def _cmd_monoid_size(args, out: TextIO, err: TextIO) -> int:
-    value = len(enumerate_icn(args.n))
-    _emit_scalar(args, out, {"input": {"n": args.n}}, _digits(value))
-    return 0
+def _cmd_monoid_size(args):
+    value = _digits(len(enumerate_icn(args.n)))
+    return {"n": args.n}, {"value": value}, [value]
 
 
-def _cmd_monoid_list(args, out: TextIO, err: TextIO) -> int:
+def _cmd_monoid_list(args):
     if args.cap < 1:
         raise ValueError(f"cap must be a positive count, got {args.cap}")
     elements = enumerate_icn(args.n)
     items = [format_two_line(f) for f in elements[: args.cap]]
-    truncated = len(elements) > args.cap
-    payload = {"input": {"n": args.n, "cap": args.cap}}
-    _emit_list(args, out, payload, items, truncated)
-    if truncated and not args.json:
-        print("output truncated at cap", file=err)
-    return 0
+    fields = {"items": items, "truncated": len(elements) > args.cap}
+    return {"n": args.n, "cap": args.cap}, fields, items
 
 
-def _cmd_monoid_compose(args, out: TextIO, err: TextIO) -> int:
+def _cmd_monoid_compose(args):
     f = parse_two_line(args.f, args.n)
     g = parse_two_line(args.g, args.n)
     value = format_two_line(compose(f, g))
-    _emit_scalar(args, out, {"input": {"n": args.n, "f": args.f, "g": args.g}}, value)
-    return 0
+    return {"n": args.n, "f": args.f, "g": args.g}, {"value": value}, [value]
 
 
-def _cmd_verify(args, out: TextIO, err: TextIO) -> int:
+def _cmd_verify(args):
     if args.identity == "cor34":
         if args.heights is None:
             raise _UsageError("--heights is required for --identity cor34")
@@ -300,44 +233,102 @@ def _cmd_verify(args, out: TextIO, err: TextIO) -> int:
         lhs, rhs = hockey_stick_sides(args.a, args.b, args.p)
         equal = lhs == rhs
         given = {"identity": "hockey", "a": args.a, "b": args.b, "p": args.p}
-    if args.json:
-        payload = {"input": given, "lhs": _digits(lhs), "rhs": _digits(rhs), "equal": equal}
-        print(render_json(payload), file=out)
-    else:
-        verdict = "true" if equal else "false"
-        print(f"lhs={_digits(lhs)} rhs={_digits(rhs)} equal={verdict}", file=out)
-    return 0
+    lhs, rhs = _digits(lhs), _digits(rhs)
+    line = f"lhs={lhs} rhs={rhs} equal={str(equal).lower()}"
+    return given, {"lhs": lhs, "rhs": rhs, "equal": equal}, [line]
 
 
-_HANDLERS = {
-    "paths-count": _cmd_paths_count,
-    "paths-list": _cmd_paths_list,
-    "dim-subset": _cmd_dim_subset,
-    "dim-vector": _cmd_dim_vector,
-    "reduce": _cmd_reduce,
-    "monoid-size": _cmd_monoid_size,
-    "monoid-list": _cmd_monoid_list,
-    "monoid-compose": _cmd_monoid_compose,
-    "verify": _cmd_verify,
-}
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="rookpaths", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="command")
+
+    def add(name, handler, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--json", action="store_true", help="emit a JSON payload")
+        return p
+
+    p = add("paths-count", _cmd_paths_count, "count monotone lattice paths below a height sequence")
+    p.add_argument("--dir", required=True, choices=["dec", "inc"])
+    p.add_argument("--heights", required=True, help="comma-separated heights, e.g. 4,3,3,1,1")
+
+    p = add("paths-list", _cmd_paths_list, "list the height sequences below a given one")
+    p.add_argument("--dir", required=True, choices=["dec", "inc"])
+    p.add_argument("--heights", required=True)
+    p.add_argument("--cap", type=_nonnegative_int, default=1000)
+
+    p = add("dim-subset", _cmd_dim_subset, "dimension of the module generated by one basis vector")
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--set", required=True, help="comma-separated subset, e.g. 2,4,6")
+
+    p = add("dim-vector", _cmd_dim_vector, "dimension of the module generated by a vector")
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--vector", required=True, help='terms like "1:{};1:{3};1:{4,7}"')
+
+    p = add("reduce", _cmd_reduce, "reduced support and reduced form of a vector")
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--vector", required=True)
+
+    p = add("monoid-size", _cmd_monoid_size, "number of order preserving, order decreasing maps")
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+
+    p = add("monoid-list", _cmd_monoid_list, "list the monoid elements in two-line notation")
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--cap", type=_nonnegative_int, default=1000)
+
+    p = add("monoid-compose", _cmd_monoid_compose, "compose two maps given in two-line notation")
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--f", required=True, help='two-line text, e.g. "1 3 4 / 1 2 3"')
+    p.add_argument("--g", required=True)
+
+    p = add("verify", _cmd_verify, "evaluate both sides of a combinatorial identity")
+    p.add_argument("--identity", required=True, choices=["cor34", "cor35", "hockey"])
+    p.add_argument("--heights", help="decreasing heights (cor34)")
+    p.add_argument("--k", type=_nonnegative_int, help="staircase size (cor35)")
+    p.add_argument("--a", type=_nonnegative_int, help="sum start (hockey)")
+    p.add_argument("--b", type=_nonnegative_int, help="number of summands (hockey)")
+    p.add_argument("--p", type=_nonnegative_int, help="lower binomial index (hockey)")
+
+    for command, (routes, _) in _ROUTES.items():
+        p = sub.choices[command]
+        p.add_argument("--method", default="auto", choices=["auto", *routes])
+        p.add_argument(
+            "--check", action="store_true", help="cross-check against an independent route"
+        )
+
+    return parser
 
 
 def run(argv: list[str], out: TextIO | None = None, err: TextIO | None = None) -> int:
-    """Execute one CLI request; returns the process exit code."""
+    """Execute one CLI request; returns the process exit code.  This is the
+    one place that writes to out and err."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required")
-        return _HANDLERS[args.command](args, out, err)
+        given, fields, lines = args.handler(args)
+    except _Help as exc:
+        out.write(str(exc))
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return USAGE_ERROR
+    except _CheckFailed as exc:
+        print(f"check failed: {exc}", file=err)
+        return DOMAIN_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return DOMAIN_ERROR
+    if args.json:
+        print(json.dumps({"input": given, **fields}, separators=(",", ":")), file=out)
+    else:
+        for line in lines:
+            print(line, file=out)
+        if fields.get("truncated"):
+            print("output truncated at cap", file=err)
+    return 0
 
 
 def main() -> None:

@@ -24,16 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import add, sub
 from typing import Iterator, Mapping
 
 from .exact_math import binomial, catalan
 from .lattice_paths import (
-    Direction,
     HeightSequence,
     count_below_decreasing_iterative,
     count_below_increasing_determinant,
-    iter_monotone_below,
+    iter_subsets_below,
 )
 from .rook_monoid import PartialInjection, is_order_decreasing, is_order_preserving
 
@@ -93,15 +91,9 @@ def subset_meet(s: Subset, t: Subset) -> Subset:
 
 
 def iter_downset(s: Subset) -> Iterator[Subset]:
-    """Yield every subset T <= S in ascending lexicographic order.
-
-    Shifting by position, u_i = t_i - i, turns the strictly increasing T <= S
-    into the weakly increasing sequences u below s_i - i.
-    """
-    shift = range(1, len(s.elems) + 1)
-    gaps = tuple(map(sub, s.elems, shift))
-    for u in iter_monotone_below(gaps, Direction.INCREASING):
-        yield Subset(s.n, tuple(map(add, u, shift)))
+    """Yield every subset T <= S in ascending lexicographic order."""
+    for t in iter_subsets_below(s.elems):
+        yield Subset(s.n, t)
 
 
 def downset(s: Subset) -> list[Subset]:

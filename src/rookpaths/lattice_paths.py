@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, islice
+from operator import add, sub
 from typing import Iterator, NamedTuple
 
 from .exact_math import IntMatrix, binomial, catalan, det_exact
@@ -301,6 +302,17 @@ def iter_monotone_below(
             return
         x[i] += 1
         x[i + 1 :] = [0 if decreasing else x[i]] * (k - 1 - i)
+
+
+def iter_subsets_below(elems: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Yield every strictly increasing positive tuple t dominated by the
+    strictly increasing positive tuple s = elems (t_i <= s_i), in ascending
+    lexicographic order.  Shifting by position, u_i = t_i - i, turns these
+    into the weakly increasing tuples u below s_i - i.
+    """
+    shift = range(1, len(elems) + 1)
+    for u in iter_monotone_below(tuple(map(sub, elems, shift)), Direction.INCREASING):
+        yield tuple(map(add, u, shift))
 
 
 def iter_below(h: HeightSequence) -> Iterator[HeightSequence]:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import add, sub
 
 from .exact_math import IntMatrix
-from .lattice_paths import Direction, iter_monotone_below
+from .lattice_paths import iter_subsets_below
+
+# enumerate_icn builds all c_{n+1} maps of {1..n}: 58786 at n = 10.
+MAX_ICN_N = 10
 
 
 @dataclass(frozen=True)
@@ -128,23 +130,20 @@ def parse_two_line(text: str, n: int) -> PartialInjection:
     return PartialInjection(n, tuple(pairs))
 
 
-def enumerate_icn(n: int, max_n: int = 10) -> list[PartialInjection]:
+def enumerate_icn(n: int) -> list[PartialInjection]:
     """All order preserving, order decreasing maps of {1..n}.
 
     Such a map is determined by its domain D and range R, equal-size subsets
     with R dominated by D componentwise; the sorted bijection between them is
     the map.  Output is ordered by (sources, images) lexicographically.
     """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be within 1..{max_n}, got {n}")
+    if not 1 <= n <= MAX_ICN_N:
+        raise ValueError(f"n must be within 1..{MAX_ICN_N}, got {n}")
     domains = sorted(
         chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1))
     )
     out = []
     for dom in domains:
-        # The ranges below dom, shifted by position as in iter_downset.
-        shift = range(1, len(dom) + 1)
-        gaps = tuple(map(sub, dom, shift))
-        for u in iter_monotone_below(gaps, Direction.INCREASING):
-            out.append(PartialInjection(n, tuple(zip(dom, map(add, u, shift)))))
+        for ran in iter_subsets_below(dom):
+            out.append(PartialInjection(n, tuple(zip(dom, ran))))
     return out

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -97,10 +98,11 @@ def test_dim_vector_value():
     plain, payload = plain_and_json(["dim-vector", "--n", "7", "--vector", vector])
     assert plain.strip() == "24"
     assert payload["value"] == "24"
-    code, out, _ = invoke(
-        ["dim-vector", "--n", "7", "--vector", vector, "--method", "oracle", "--check"]
-    )
-    assert code == 0 and out.strip() == "24"
+    for method in ["oracle", "iterative"]:
+        code, out, _ = invoke(
+            ["dim-vector", "--n", "7", "--vector", vector, "--method", method, "--check"]
+        )
+        assert code == 0 and out.strip() == "24"
 
 
 def test_reduce_output():
@@ -128,6 +130,15 @@ def test_monoid_list():
     assert "/" in payload["items"][0]
     _, payload = plain_and_json(["monoid-list", "--n", "3", "--cap", "4"])
     assert len(payload["items"]) == 4 and payload["truncated"] is True
+
+
+def test_monoid_list_truncation_note_goes_to_stderr_in_text_mode_only():
+    code, out, err = invoke(["monoid-list", "--n", "3", "--cap", "4"])
+    assert code == 0 and len(out.splitlines()) == 4
+    assert err == "output truncated at cap\n"
+    code, out, err = invoke(["monoid-list", "--n", "3", "--cap", "4", "--json"])
+    assert code == 0 and json.loads(out)["truncated"] is True
+    assert err == ""
 
 
 def test_monoid_compose():
@@ -208,6 +219,34 @@ def test_domain_errors_exit_2():
         assert err
 
 
+def test_help_is_written_to_out_and_returns_0():
+    code, out, err = invoke(["--help"])
+    assert code == 0 and not err
+    assert out.startswith("usage: rookpaths")
+    code, out, err = invoke(["paths-count", "--help"])
+    assert code == 0 and not err
+    assert "--method {auto,iterative,determinant,oracle}" in out
+    code, out, _ = invoke(["dim-vector", "--help"])
+    assert code == 0 and "--method {auto,iterative,oracle}" in out
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no limit on integer string conversion",
+)
+def test_integers_over_the_digit_limit_name_the_bound_briefly():
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * (limit + 1)
+    for argv, expected in [
+        (["paths-count", "--dir", "dec", "--heights", nines], 2),
+        (["dim-subset", "--n", nines, "--set", "1"], 1),
+    ]:
+        code, out, err = invoke(argv)
+        assert code == expected, argv
+        assert not out
+        assert str(limit) in err and len(err.encode()) < 200, argv
+
+
 def test_no_crash_on_weird_input():
     code, _, err = invoke(["paths-count", "--dir", "dec", "--heights", ",,,"])
     assert code == 2 and err
@@ -228,13 +267,17 @@ def test_answers_longer_than_the_string_conversion_limit_print_exactly():
     assert equal == "equal=true" and payload["equal"] is True
 
 
-def test_check_of_the_oracle_uses_an_independent_route(monkeypatch):
-    # With every oracle off by one, checking the oracle against itself would
-    # pass; the check must use another route and catch the error.
+@pytest.fixture
+def off_by_one_oracles(monkeypatch):
     count, down, dim = cli.count_below_oracle, cli.downset, cli.dim_submodule_oracle
     monkeypatch.setattr(cli, "count_below_oracle", lambda h: count(h) + 1)
     monkeypatch.setattr(cli, "downset", lambda s: down(s) + [s])
     monkeypatch.setattr(cli, "dim_submodule_oracle", lambda v: dim(v) + 1)
+
+
+def test_check_of_the_oracle_uses_an_independent_route(off_by_one_oracles):
+    # With every oracle off by one, checking the oracle against itself would
+    # pass; the check must use another route and catch the error.
     for argv in [
         ["paths-count", "--dir", "dec", "--heights", "4,2"],
         ["paths-count", "--dir", "inc", "--heights", "1,2,4"],
@@ -245,6 +288,19 @@ def test_check_of_the_oracle_uses_an_independent_route(monkeypatch):
         assert code == 2, argv
         assert not out
         assert "check failed: oracle gave" in err and "iterative gave" in err, argv
+
+
+def test_check_of_every_other_route_uses_the_oracle(off_by_one_oracles):
+    for argv, methods, value in [
+        (["paths-count", "--dir", "dec", "--heights", "4,2"], ["iterative", "determinant"], 12),
+        (["paths-count", "--dir", "inc", "--heights", "1,2,4"], ["iterative", "determinant"], 19),
+        (["dim-subset", "--n", "8", "--set", "2,4,6"], ["iterative", "determinant"], 14),
+        (["dim-vector", "--n", "7", "--vector", "1:{3};1:{4,7}"], ["iterative"], 21),
+    ]:
+        for method in ["auto", *methods]:
+            code, out, err = invoke(argv + ["--method", method, "--check"])
+            assert code == 2 and not out, (argv, method)
+            assert err.endswith(f" gave {value}, oracle gave {value + 1}\n"), (argv, method)
 
 
 def test_long_inputs_do_not_exhaust_the_stack():

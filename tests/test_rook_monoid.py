@@ -143,10 +143,6 @@ def test_enumerate_icn_is_sorted_and_bounded():
         enumerate_icn(0)
     with pytest.raises(ValueError):
         enumerate_icn(11)
-    # The bound is a parameter, not a hard limit.
-    with pytest.raises(ValueError):
-        enumerate_icn(5, max_n=4)
-    assert len(enumerate_icn(5, max_n=5)) == catalan(6)
 
 
 def test_associativity_exhaustive():
