@@ -13,7 +13,7 @@ import sys
 from decimal import Decimal
 from typing import TextIO
 
-from .exact_math import hockey_stick_sides
+from .exact_math import bad_int_message, hockey_stick_sides, quoted
 from .icn_modules import (
     Subset,
     dim_principal_incl_excl,
@@ -100,22 +100,14 @@ _ROUTES = {
 }
 
 
-def _not_an_int(text: str, message: str) -> str:
-    """message, or the interpreter's limit on int() (4300 digits by default;
-    none before Python 3.10.7) when a comma-separated token is over it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if any(0 < limit < sum(map(str.isdigit, tok)) for tok in text.split(",")):
-        return f"integers are limited to {limit} digits, got {text[:20]!r}..."
-    return message
-
-
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(_not_an_int(text, f"{text!r} is not an integer")) from None
+        message = bad_int_message(text, f"{quoted(text)} is not an integer")
+        raise argparse.ArgumentTypeError(message) from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+        raise argparse.ArgumentTypeError(f"{quoted(text)} is negative")
     return value
 
 
@@ -126,8 +118,8 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        message = f"expected comma-separated integers, got {text!r}"
-        raise ValueError(_not_an_int(text, message)) from None
+        message = f"expected comma-separated integers, got {quoted(text)}"
+        raise ValueError(bad_int_message(text, message)) from None
 
 
 def _parse_heights(dir_text: str, heights_text: str) -> HeightSequence:

@@ -7,7 +7,11 @@ Every quantity is a Python int (arbitrary precision) or a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+# An input echoed in an error message is clipped to this many characters.
+ECHO_CHARS = 20
 
 
 def binomial(n: int, k: int) -> int:
@@ -39,6 +43,25 @@ def hockey_stick_sides(a: int, b: int, p: int) -> tuple[int, int]:
     left = sum(binomial(z, p) for z in range(a, a + b))
     right = binomial(a + b, p + 1) - binomial(a, p + 1)
     return left, right
+
+
+def quoted(text: str) -> str:
+    """repr(text), clipped to its first ECHO_CHARS characters, so that an
+    error message stays short however long the input."""
+    if len(text) <= ECHO_CHARS:
+        return repr(text)
+    return f"{text[:ECHO_CHARS]!r}..."
+
+
+def bad_int_message(text: str, message: str) -> str:
+    """message, or the interpreter's limit on int() (4300 digits by default;
+    none before Python 3.10.7) when a token of text between commas or
+    slashes has more digits than that."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    tokens = text.replace("/", ",").split(",")
+    if any(0 < limit < sum(map(str.isdigit, tok)) for tok in tokens):
+        return f"integers are limited to {limit} digits, got {quoted(text)}"
+    return message
 
 
 @dataclass(frozen=True)

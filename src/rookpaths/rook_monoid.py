@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .exact_math import IntMatrix
+from .exact_math import IntMatrix, bad_int_message, quoted
 from .lattice_paths import iter_subsets_below
 
 # enumerate_icn builds all c_{n+1} maps of {1..n}: 58786 at n = 10.
@@ -111,13 +111,13 @@ def parse_two_line(text: str, n: int) -> PartialInjection:
     the whole of 1..n on top), and such pairs are dropped.
     """
     if text.count("/") != 1:
-        raise ValueError(f"two-line text needs exactly one '/', got {text!r}")
+        raise ValueError(f"two-line text needs exactly one '/', got {quoted(text)}")
     left, _, right = text.partition("/")
     source_tokens = left.split()
     image_tokens = right.split()
     if len(source_tokens) != len(image_tokens):
         raise ValueError(
-            f"{len(source_tokens)} sources but {len(image_tokens)} images in {text!r}"
+            f"{len(source_tokens)} sources but {len(image_tokens)} images in {quoted(text)}"
         )
     pairs = []
     for s_tok, i_tok in zip(source_tokens, image_tokens):
@@ -126,7 +126,8 @@ def parse_two_line(text: str, n: int) -> PartialInjection:
         try:
             pairs.append((int(s_tok), int(i_tok)))
         except ValueError:
-            raise ValueError(f"bad token pair {s_tok!r}/{i_tok!r} in {text!r}") from None
+            message = f"bad token pair {quoted(s_tok)}/{quoted(i_tok)} in {quoted(text)}"
+            raise ValueError(bad_int_message(f"{s_tok},{i_tok}", message)) from None
     return PartialInjection(n, tuple(pairs))
 
 

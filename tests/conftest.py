@@ -1,11 +1,21 @@
 """Shared brute-force helpers used as independent oracles across test modules."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 
 from hypothesis import settings
 
-from rookpaths import ModuleVector, PartialInjection, Subset
+from rookpaths import (
+    HeightSequence,
+    ModuleVector,
+    PartialInjection,
+    Subset,
+    count_below_increasing_determinant,
+    dim_principal_iterative,
+    reduced_support,
+    subset_meet,
+)
 
 # Property tests draw the same examples on every run and are not timed per
 # example, so a slow or busy machine cannot make them flaky.
@@ -36,3 +46,34 @@ def random_module_vector(rng, max_n=10, max_terms=6):
         coeff = Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 4))
         terms[random_subset(rng, n)] = coeff
     return ModuleVector(n, terms)
+
+
+def incl_excl_literal(s):
+    """dim <v_S> by the paper's inclusion-exclusion, term by term: the signed
+    determinant count of every nonempty T inside S, and 1 for the empty T."""
+    k = len(s)
+    return (-1) ** k + sum(
+        (-1) ** (k - m) * count_below_increasing_determinant(HeightSequence.increasing(t))
+        for m in range(1, k + 1)
+        for t in combinations(s.elems, m)
+    )
+
+
+def dim_submodule_literal(v):
+    """dim <v> by inclusion-exclusion over the reduced support, term by term:
+    the meet of every nonempty set of generators of one size."""
+    red = sorted(reduced_support(v).reduced_support, key=lambda s: (len(s), s.elems))
+    return sum(
+        (-1) ** (r - 1) * dim_principal_iterative(reduce(subset_meet, chosen))
+        for r in range(1, len(red) + 1)
+        for chosen in combinations(red, r)
+        if len({len(s) for s in chosen}) == 1
+    )
+
+
+def independent_antichain(r):
+    """r subsets of {1..2r} below the staircase {2, 4, ..., 2r}, the i-th one
+    lowered at its i-th element only, so every set of them has its own meet
+    and inclusion-exclusion over them has 2^r - 1 distinct terms."""
+    top = range(2, 2 * r + 1, 2)
+    return [tuple(e - (j == i) for j, e in enumerate(top)) for i in range(r)]

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import independent_antichain
 from rookpaths import cli
 from rookpaths.cli import run
 
@@ -208,6 +209,9 @@ def test_domain_errors_exit_2():
         ["dim-subset", "--n", "4", "--set", "9"],
         ["dim-vector", "--n", "7", "--vector", "1:{1"],
         ["dim-vector", "--n", "17", "--vector", "1:{1}", "--method", "oracle"],
+        # Over the inclusion-exclusion work bound: 2^13 - 1 distinct meets.
+        ["dim-vector", "--n", "26", "--vector",
+         ";".join("1:{%s}" % ",".join(map(str, g)) for g in independent_antichain(13))],
         ["monoid-size", "--n", "0"],
         ["monoid-size", "--n", "99"],
         ["monoid-compose", "--n", "3", "--f", "1 1 / 1 2", "--g", "/"],
@@ -240,11 +244,31 @@ def test_integers_over_the_digit_limit_name_the_bound_briefly():
     for argv, expected in [
         (["paths-count", "--dir", "dec", "--heights", nines], 2),
         (["dim-subset", "--n", nines, "--set", "1"], 1),
+        (["dim-vector", "--n", "7", "--vector", f"1:{{{nines}}}"], 2),
+        (["dim-vector", "--n", "7", "--vector", f"{nines}:{{1}}"], 2),
+        (["monoid-compose", "--n", "3", "--f", f"{nines} / 1", "--g", "/"], 2),
     ]:
         code, out, err = invoke(argv)
         assert code == expected, argv
         assert not out
         assert str(limit) in err and len(err.encode()) < 200, argv
+
+
+def test_malformed_inputs_are_echoed_briefly():
+    xs = "x" * 5000
+    for argv, expected in [
+        (["paths-count", "--dir", "dec", "--heights", xs], 2),
+        (["dim-subset", "--n", xs, "--set", "1"], 1),
+        (["dim-vector", "--n", "7", "--vector", f"1:{{{xs}}}"], 2),
+        (["dim-vector", "--n", "7", "--vector", f"{xs}:{{1}}"], 2),
+        (["dim-vector", "--n", "7", "--vector", xs], 2),
+        (["monoid-compose", "--n", "3", "--f", f"{xs} / 1", "--g", "/"], 2),
+        (["monoid-compose", "--n", "3", "--f", xs, "--g", "/"], 2),
+    ]:
+        code, out, err = invoke(argv)
+        assert code == expected, argv
+        assert not out
+        assert "x" * 19 in err and "x" * 21 not in err and len(err.encode()) < 200, argv
 
 
 def test_no_crash_on_weird_input():

@@ -4,7 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_module_vector
+from conftest import (
+    incl_excl_literal,
+    independent_antichain,
+    random_module_vector,
+)
 from rookpaths import (
     ModuleVector,
     PartialInjection,
@@ -38,6 +42,8 @@ from rookpaths import (
     support,
     zero_vector,
 )
+from rookpaths import icn_modules
+from rookpaths.icn_modules import MAX_INCL_EXCL_SIZE, MAX_SUBMODULE_WORK
 
 SIGMA = PartialInjection(4, ((1, 1), (3, 2), (4, 3)))
 
@@ -291,8 +297,17 @@ def test_dim_principal_examples():
 
 
 def test_dim_principal_incl_excl_bound():
-    with pytest.raises(ValueError):
-        dim_principal_incl_excl(Subset(25, tuple(range(1, 22))))
+    k = MAX_INCL_EXCL_SIZE + 1
+    with pytest.raises(ValueError, match=f"bound {MAX_INCL_EXCL_SIZE}"):
+        dim_principal_incl_excl(Subset(k, tuple(range(1, k + 1))))
+    # 21 elements, past the bound of the former sum over all 2^k subsets.
+    for s in (Subset(25, tuple(range(1, 22))), Subset(41, tuple(range(1, 42, 2)))):
+        assert dim_principal_incl_excl(s) == dim_principal_iterative(s)
+
+
+def test_inclusion_exclusion_matches_the_literal_sum_on_every_subset_of_10():
+    for s in subsets_of(10):
+        assert dim_principal_incl_excl(s) == incl_excl_literal(s) == dim_principal_iterative(s), s
 
 
 def test_three_way_dimension_agreement():
@@ -395,6 +410,26 @@ def test_dim_submodule_top_module():
 def test_dim_submodule_oracle_bound():
     with pytest.raises(ValueError):
         dim_submodule_oracle(basis_vector(Subset(17, (1,))))
+
+
+def test_dim_submodule_work_bound(monkeypatch):
+    # r generators of size r hold 2^r - 1 meets: r (2^r - 1 - r) units for
+    # taking them and r^2 (2^r - 1) for their dimensions, which comes to
+    # 638,676 at r = 12 and 1,490,593 at r = 13.
+    assert 638_676 <= MAX_SUBMODULE_WORK < 1_490_593
+    # Only the staircase {2, 4, ..., 24} itself is below none of the twelve.
+    v = ModuleVector(24, {Subset(24, g): 1 for g in independent_antichain(12)})
+    assert dim_submodule(v) == dim_catalan_family(12) - 1
+    v = ModuleVector(26, {Subset(26, g): 1 for g in independent_antichain(13)})
+    with pytest.raises(ValueError, match=f"bound {MAX_SUBMODULE_WORK}"):
+        dim_submodule(v)
+    # The bound holds before the meets are taken, not after: 13 units each.
+    taken = []
+    monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 100)
+    monkeypatch.setattr(icn_modules, "subset_meet", lambda s, t: taken.append(s) or subset_meet(s, t))
+    with pytest.raises(ValueError, match="bound 100"):
+        dim_submodule(v)
+    assert 0 < 13 * len(taken) <= 100
 
 
 def test_dim_submodule_matches_oracle_random():

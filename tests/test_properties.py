@@ -4,15 +4,22 @@ The examples are derived from each test's name (the ``rookpaths`` profile
 in conftest.py), so every run checks the same inputs.
 """
 
-from hypothesis import given, settings
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import dim_submodule_literal
 from rookpaths import (
     HeightSequence,
+    ModuleVector,
     Subset,
     count_below_increasing_determinant,
     count_below_oracle,
     dim_principal_incl_excl,
+    dim_submodule,
+    dim_submodule_oracle,
     downset,
 )
 
@@ -20,6 +27,33 @@ increasing_boundaries = st.lists(st.integers(0, 40), min_size=1, max_size=12).ma
     lambda heights: HeightSequence.increasing(sorted(heights))
 )
 subsets_of_14 = st.sets(st.integers(1, 14)).map(lambda elems: Subset(14, tuple(sorted(elems))))
+coefficients = st.sampled_from([Fraction(c) for c in (-3, -1, 1, 2, "5/2")])
+
+
+@st.composite
+def antichain_vectors(draw):
+    """A vector over {1..n}, n <= 14, whose reduced support is an antichain of
+    one or two subset sizes, plus 0-3 terms each below one generator.
+    Distinct subsets of one size and one element sum are incomparable."""
+    n = draw(st.integers(1, 14))
+    gens = []
+    for k in sorted(draw(st.sets(st.integers(0, n), min_size=1, max_size=2))):
+        by_sum: dict[int, list[tuple[int, ...]]] = {}
+        for c in combinations(range(1, n + 1), k):
+            by_sum.setdefault(sum(c), []).append(c)
+        members = by_sum[draw(st.sampled_from(sorted(by_sum)))]
+        gens += draw(st.lists(st.sampled_from(members), min_size=1, max_size=6, unique=True))
+    terms = {Subset(n, g): draw(coefficients) for g in gens}
+    for _ in range(draw(st.integers(0, 3))):
+        lowered = list(draw(st.sampled_from(gens)))
+        if not lowered:
+            continue
+        i = draw(st.integers(0, len(lowered) - 1))
+        lowest = lowered[i - 1] + 1 if i else 1
+        if lowered[i] > lowest:
+            lowered[i] = draw(st.integers(lowest, lowered[i] - 1))
+            terms[Subset(n, tuple(lowered))] = draw(coefficients)
+    return ModuleVector(n, terms)
 
 
 @given(increasing_boundaries)
@@ -27,7 +61,11 @@ def test_determinant_route_matches_the_oracle(a):
     assert count_below_increasing_determinant(a) == count_below_oracle(a)
 
 
-@settings(max_examples=40)  # a 14-element subset sums 2^14 determinants
 @given(subsets_of_14)
 def test_inclusion_exclusion_matches_the_downset(s):
     assert dim_principal_incl_excl(s) == len(downset(s))
+
+
+@given(antichain_vectors())
+def test_dim_submodule_matches_the_literal_sum_and_the_oracle(v):
+    assert dim_submodule(v) == dim_submodule_literal(v) == dim_submodule_oracle(v)
