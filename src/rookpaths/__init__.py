@@ -40,7 +40,6 @@ from .rook_monoid import (
 from .icn_modules import (
     ModuleVector,
     Subset,
-    SubmoduleDescriptor,
     act,
     basis_vector,
     catalan_family_subset,
@@ -49,7 +48,6 @@ from .icn_modules import (
     dim_mixed_family,
     dim_principal_incl_excl,
     dim_principal_iterative,
-    dim_special,
     dim_submodule,
     dim_submodule_oracle,
     downset,
@@ -63,7 +61,6 @@ from .icn_modules import (
     subset_leq,
     subset_meet,
     submodule_equal,
-    support,
     zero_vector,
 )
 

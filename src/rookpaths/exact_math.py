@@ -1,8 +1,7 @@
-"""Exact integer and rational arithmetic helpers.
-
-Every quantity is a Python int (arbitrary precision) or a
-``fractions.Fraction``; nothing here ever rounds or overflows.
-"""
+"""Helpers shared by the other modules: binomials, Catalan numbers and
+Bareiss determinants on Python ints (nothing rounds or overflows), short
+echoes of inputs in error messages, and ``trusted``, which builds a value
+derived from checked ones without checking it again."""
 
 from __future__ import annotations
 
@@ -53,15 +52,31 @@ def quoted(text: str) -> str:
     return f"{text[:ECHO_CHARS]!r}..."
 
 
+def int_digit_limit() -> int:
+    """The interpreter's limit on the digits int() converts: 4300 by
+    default, 0 for none (before Python 3.10.7, or when switched off)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def bad_int_message(text: str, message: str) -> str:
-    """message, or the interpreter's limit on int() (4300 digits by default;
-    none before Python 3.10.7) when a token of text between commas or
-    slashes has more digits than that."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """message, or the interpreter's limit on int() when a token of text
+    between commas or slashes has more digits than that."""
+    limit = int_digit_limit()
     tokens = text.replace("/", ",").split(",")
     if any(0 < limit < sum(map(str.isdigit, tok)) for tok in tokens):
         return f"integers are limited to {limit} digits, got {quoted(text)}"
     return message
+
+
+def trusted(cls, *values):
+    """An instance of the frozen dataclass cls with its fields set to values,
+    skipping __post_init__: only for values valid by construction, derived
+    from checked ones.  Setting the fields in declaration order keeps the
+    instances' attribute dicts sharing their keys, as cls(...) does."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, Mapping
 
-from .exact_math import bad_int_message, binomial, catalan, quoted
+from .exact_math import bad_int_message, binomial, catalan, int_digit_limit, quoted, trusted
 from .lattice_paths import (
+    Direction,
     HeightSequence,
     count_below_decreasing_iterative,
     iter_subsets_below,
@@ -57,11 +58,13 @@ class Subset:
     elems: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(int(e) for e in self.elems)
+        elems = tuple(self.elems)
         object.__setattr__(self, "elems", elems)
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"ambient size must be a positive integer, got {self.n!r}")
         for e in elems:
+            if not isinstance(e, int):
+                raise ValueError(f"elements must be integers, got {e!r}")
             if not 1 <= e <= self.n:
                 raise ValueError(f"element {e} outside 1..{self.n}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
@@ -97,13 +100,13 @@ def subset_meet(s: Subset, t: Subset) -> Subset:
     _check_same_ambient(s, t)
     if len(s.elems) != len(t.elems):
         raise ValueError("meet is defined for equal-size subsets only")
-    return Subset(s.n, tuple(map(min, s.elems, t.elems)))
+    return trusted(Subset, s.n, tuple(map(min, s.elems, t.elems)))
 
 
 def iter_downset(s: Subset) -> Iterator[Subset]:
     """Yield every subset T <= S in ascending lexicographic order."""
     for t in iter_subsets_below(s.elems):
-        yield Subset(s.n, t)
+        yield trusted(Subset, s.n, t)
 
 
 def downset(s: Subset) -> list[Subset]:
@@ -123,7 +126,7 @@ class ModuleVector:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"ambient size must be a positive integer, got {n!r}")
         self.n = n
-        cleaned: dict[Subset, Fraction] = {}
+        self.terms: dict[Subset, Fraction] = {}
         for subset, coeff in (terms or {}).items():
             if not isinstance(subset, Subset):
                 raise ValueError(f"term key must be a Subset, got {subset!r}")
@@ -131,8 +134,7 @@ class ModuleVector:
                 raise ValueError(f"ambient sizes differ: {subset.n} vs {n}")
             value = Fraction(coeff)
             if value != 0:
-                cleaned[subset] = cleaned.get(subset, Fraction(0)) + value
-        self.terms = {s: c for s, c in cleaned.items() if c != 0}
+                self.terms[subset] = value
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -161,7 +163,8 @@ def act(f: PartialInjection, v: ModuleVector) -> ModuleVector:
     """Apply a monoid element to a vector, extended linearly over the basis.
 
     A term v_S survives exactly when S lies inside the domain of f, in which
-    case it moves to v_{f(S)}; f must be order preserving and order decreasing.
+    case it moves to v_{f(S)}; f must be order preserving and order decreasing,
+    so f(S) lists its elements in increasing order.
     """
     if f.n != v.n:
         raise ValueError(f"ambient sizes differ: {f.n} vs {v.n}")
@@ -172,47 +175,26 @@ def act(f: PartialInjection, v: ModuleVector) -> ModuleVector:
     out: dict[Subset, Fraction] = {}
     for subset, coeff in v.terms.items():
         if set(subset.elems) <= domain:
-            image = Subset(v.n, tuple(sorted(mapping[e] for e in subset.elems)))
+            image = trusted(Subset, v.n, tuple(mapping[e] for e in subset.elems))
             out[image] = out.get(image, Fraction(0)) + coeff
     return ModuleVector(v.n, out)
 
 
-def support(v: ModuleVector) -> set[Subset]:
-    """Subsets carrying a nonzero coefficient."""
-    return set(v.terms)
-
-
-@dataclass(frozen=True)
-class SubmoduleDescriptor:
-    """Canonical label of a cyclic submodule: its reduced support antichain."""
-
-    n: int
-    reduced_support: frozenset[Subset]
-
-    def __post_init__(self):
-        subsets = frozenset(self.reduced_support)
-        object.__setattr__(self, "reduced_support", subsets)
-        for s in subsets:
-            if s.n != self.n:
-                raise ValueError(f"ambient sizes differ: {s.n} vs {self.n}")
-        for s in subsets:
-            for t in subsets:
-                if s != t and subset_leq(s, t):
-                    raise ValueError(f"{s} <= {t}: reduced support must be an antichain")
-
-
-def reduced_support(v: ModuleVector) -> SubmoduleDescriptor:
-    """Maximal subsets of the support; equal antichains mean equal submodules."""
-    supp = list(v.terms)
-    maximal = frozenset(
-        s for s in supp if not any(s != t and subset_leq(s, t) for t in supp)
-    )
-    return SubmoduleDescriptor(v.n, maximal)
+def reduced_support(v: ModuleVector) -> frozenset[Subset]:
+    """Maximal subsets of the support, an antichain; equal antichains mean
+    equal submodules.  A subset lies only below subsets of its size that come
+    later in lexicographic order, so in descending (size, elements) order a
+    term need only be compared with the maximal terms kept before it."""
+    kept: list[Subset] = []
+    for s in sorted(v.terms, key=_subset_sort_key, reverse=True):
+        if not any(subset_leq(s, t) for t in kept):
+            kept.append(s)
+    return frozenset(kept)
 
 
 def reduced_form(v: ModuleVector) -> ModuleVector:
     """Coefficient-1 sum over the reduced support; generates the same submodule."""
-    return ModuleVector(v.n, {s: 1 for s in reduced_support(v).reduced_support})
+    return ModuleVector(v.n, {s: 1 for s in reduced_support(v)})
 
 
 def submodule_equal(v: ModuleVector, w: ModuleVector) -> bool:
@@ -227,7 +209,7 @@ def _heights_for_subset(s: Subset) -> HeightSequence:
     elems = s.elems
     k = len(elems)
     lam = tuple(elems[k - 1 - i] - (k - i) for i in range(k))
-    return HeightSequence.decreasing(lam)
+    return trusted(HeightSequence, Direction.DECREASING, lam)
 
 
 def dim_principal_iterative(s: Subset) -> int:
@@ -342,21 +324,6 @@ def dim_mixed_family(k: int, m: int) -> int:
     return total
 
 
-def dim_special(kind: str, *, k: int, m: int | None = None) -> int:
-    """Dispatch to the closed-form dimension of one of the special families."""
-    if kind == "catalan":
-        return dim_catalan_family(k)
-    if kind == "interval":
-        if m is None:
-            raise ValueError("interval family needs m")
-        return dim_interval_family(m, k)
-    if kind == "mixed":
-        if m is None:
-            raise ValueError("mixed family needs m")
-        return dim_mixed_family(k, m)
-    raise ValueError(f"unknown family {kind!r}")
-
-
 def dim_submodule(v: ModuleVector) -> int:
     """Dimension of the submodule generated by v, by inclusion-exclusion.
 
@@ -371,7 +338,7 @@ def dim_submodule(v: ModuleVector) -> int:
     of r generators; it is checked against MAX_SUBMODULE_WORK before each
     step is taken.  The zero vector spans the zero module.
     """
-    red = sorted(reduced_support(v).reduced_support, key=_subset_sort_key)
+    red = sorted(reduced_support(v), key=_subset_sort_key)
     total = work = 0
     for k, generators in groupby(red, key=len):
         signs: dict[Subset, int] = {}
@@ -399,9 +366,17 @@ def dim_submodule_oracle(v: ModuleVector) -> int:
     if v.n > MAX_ORACLE_AMBIENT:
         raise ValueError(f"ambient size {v.n} exceeds oracle bound {MAX_ORACLE_AMBIENT}")
     seen: set[Subset] = set()
-    for s in reduced_support(v).reduced_support:
+    for s in reduced_support(v):
         seen.update(iter_downset(s))
     return len(seen)
+
+
+def _exponent(coeff_text: str) -> int:
+    """|e| for a coefficient written with a decimal exponent e, else 0."""
+    try:
+        return abs(int(coeff_text.lower().partition("e")[2]))
+    except ValueError:
+        return 0
 
 
 def parse_module_vector(text: str, n: int) -> ModuleVector:
@@ -414,11 +389,18 @@ def parse_module_vector(text: str, n: int) -> ModuleVector:
     stripped = text.strip()
     if stripped in ("", "0"):
         return zero_vector(n)
+    # Fraction computes 10**e for an exponent e, so e past the int digit
+    # limit (4300 where the interpreter sets none) is refused before that.
+    limit = int_digit_limit() or 4300
     terms: dict[Subset, Fraction] = {}
     for part in stripped.split(";"):
         coeff_text, sep, set_text = part.partition(":")
         if not sep:
             raise ValueError(f"term {quoted(part)} is missing ':'")
+        if _exponent(coeff_text) > limit:
+            raise ValueError(
+                f"coefficient exponents are limited to {limit}, got {quoted(coeff_text)}"
+            )
         try:
             coeff = Fraction(coeff_text.strip())
         except (ValueError, ZeroDivisionError):

@@ -17,7 +17,7 @@ from itertools import accumulate, islice
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .exact_math import IntMatrix, binomial, catalan, det_exact
+from .exact_math import IntMatrix, binomial, catalan, det_exact, trusted
 
 # The DP oracle's work and table are bounded by its sum(h_i + 1) cells.  At
 # 10^7 cells the slowest shapes measured on CPython 3.11 took about 2.3 s (a
@@ -80,7 +80,7 @@ class HeightSequence:
             if self.direction is Direction.DECREASING
             else Direction.DECREASING
         )
-        return HeightSequence(flipped, tuple(reversed(self.heights)))
+        return trusted(HeightSequence, flipped, self.heights[::-1])
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,8 @@ def iter_subsets_below(elems: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 def iter_below(h: HeightSequence) -> Iterator[HeightSequence]:
     """Yield every sequence below h in ascending lexicographic order."""
-    return (HeightSequence(h.direction, x) for x in iter_monotone_below(h.heights, h.direction))
+    return (trusted(HeightSequence, h.direction, x)
+            for x in iter_monotone_below(h.heights, h.direction))
 
 
 class BelowEnumeration(NamedTuple):

@@ -13,7 +13,7 @@ from rookpaths import (
     Subset,
     count_below_increasing_determinant,
     dim_principal_iterative,
-    reduced_support,
+    subset_leq,
     subset_meet,
 )
 
@@ -59,10 +59,17 @@ def incl_excl_literal(s):
     )
 
 
+def reduced_support_literal(v):
+    """The maximal subsets of the support of v, each term compared with
+    every other one."""
+    supp = list(v.terms)
+    return frozenset(s for s in supp if not any(s != t and subset_leq(s, t) for t in supp))
+
+
 def dim_submodule_literal(v):
     """dim <v> by inclusion-exclusion over the reduced support, term by term:
     the meet of every nonempty set of generators of one size."""
-    red = sorted(reduced_support(v).reduced_support, key=lambda s: (len(s), s.elems))
+    red = sorted(reduced_support_literal(v), key=lambda s: (len(s), s.elems))
     return sum(
         (-1) ** (r - 1) * dim_principal_iterative(reduce(subset_meet, chosen))
         for r in range(1, len(red) + 1)

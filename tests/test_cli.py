@@ -254,6 +254,18 @@ def test_integers_over_the_digit_limit_name_the_bound_briefly():
         assert str(limit) in err and len(err.encode()) < 200, argv
 
 
+def test_coefficient_exponents_over_the_digit_limit_are_refused():
+    # Fraction would compute 10**e first: minutes for 1e30000000, and about
+    # 40 GB for 1e99999999999.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    for coeff in ["1e30000000", "1e99999999999", "1e-30000000", f"1e{limit + 1}"]:
+        code, out, err = invoke(["dim-vector", "--n", "4", "--vector", f"{coeff}:{{1}}"])
+        assert (code, out) == (2, ""), coeff
+        assert err == f"error: coefficient exponents are limited to {limit}, got {coeff!r}\n"
+    for coeff in ["1e7", f"1e{limit}", "2.5E-3"]:
+        assert invoke(["dim-vector", "--n", "4", "--vector", f"{coeff}:{{1}}"]) == (0, "1\n", "")
+
+
 def test_malformed_inputs_are_echoed_briefly():
     xs = "x" * 5000
     for argv, expected in [

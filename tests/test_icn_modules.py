@@ -24,7 +24,6 @@ from rookpaths import (
     dim_mixed_family,
     dim_principal_incl_excl,
     dim_principal_iterative,
-    dim_special,
     dim_submodule,
     dim_submodule_oracle,
     downset,
@@ -39,7 +38,6 @@ from rookpaths import (
     subset_leq,
     subset_meet,
     submodule_equal,
-    support,
     zero_vector,
 )
 from rookpaths import icn_modules
@@ -71,6 +69,11 @@ def test_subset_validation():
         Subset(4, (0,))
     with pytest.raises(ValueError):
         Subset(4, (5,))
+    # Entries are taken as given, never converted: no floats, no digit strings.
+    with pytest.raises(ValueError, match="integers"):
+        Subset(5, (2.7, 3.2))
+    with pytest.raises(ValueError, match="integers"):
+        Subset(5, ("2", "3"))
     assert len(Subset(4, ())) == 0
 
 
@@ -110,7 +113,7 @@ def test_meet_is_greatest_lower_bound():
 
 def test_module_vector_normalization():
     v = ModuleVector(4, {Subset(4, (1,)): Fraction(1, 2), Subset(4, (2,)): 0})
-    assert support(v) == {Subset(4, (1,))}
+    assert set(v.terms) == {Subset(4, (1,))}
     assert zero_vector(3).is_zero()
     with pytest.raises(ValueError):
         ModuleVector(4, {Subset(5, (1,)): 1})
@@ -118,7 +121,7 @@ def test_module_vector_normalization():
 
 def test_parse_and_format_round_trip():
     v = parse_module_vector(EXAMPLE_TEXT, 7)
-    assert len(support(v)) == 7
+    assert len(v.terms) == 7
     assert parse_module_vector(format_module_vector(v), 7) == v
     assert format_module_vector(zero_vector(3)) == "0"
     assert parse_module_vector("0", 3) == zero_vector(3)
@@ -180,7 +183,7 @@ def test_action_preserves_cardinality():
             for s in subsets_of(n):
                 image = act(f, basis_vector(s))
                 if set(s.elems) <= dom:
-                    (t,) = support(image)
+                    (t,) = image.terms
                     assert len(t) == len(s)
                 else:
                     assert image.is_zero()
@@ -244,18 +247,30 @@ def test_downset_intersection_is_meet():
 
 def test_reduced_support_of_worked_example():
     v = parse_module_vector(EXAMPLE_TEXT, 7)
-    red = reduced_support(v)
-    assert {s.elems for s in red.reduced_support} == EXAMPLE_RED
+    assert {s.elems for s in reduced_support(v)} == EXAMPLE_RED
     formed = reduced_form(v)
     assert format_module_vector(formed) == "1:{};1:{3};1:{4,7};1:{5,6};1:{1,2,3}"
 
 
 def test_reduced_support_edge_cases():
-    assert reduced_support(zero_vector(5)).reduced_support == frozenset()
+    assert reduced_support(zero_vector(5)) == frozenset()
     assert reduced_form(zero_vector(5)).is_zero()
     v = ModuleVector(4, {Subset(4, (1, 2)): 3})
-    assert {s.elems for s in reduced_support(v).reduced_support} == {(1, 2)}
+    assert {s.elems for s in reduced_support(v)} == {(1, 2)}
     assert reduced_form(v) == basis_vector(Subset(4, (1, 2)))
+
+
+def test_reduced_support_compares_each_term_with_the_kept_maxima_only(monkeypatch):
+    # In descending order each one-element term is compared with the single
+    # maximum {3000} only; comparing every pair of terms takes 3000^2 calls.
+    calls = []
+    monkeypatch.setattr(
+        icn_modules, "subset_leq", lambda t, s: calls.append(t) or subset_leq(t, s)
+    )
+    n = 3000
+    v = ModuleVector(n, {Subset(n, (e,)): 1 for e in range(1, n + 1)})
+    assert reduced_support(v) == {Subset(n, (n,))}
+    assert len(calls) < 2 * n
 
 
 def test_submodule_equal():
@@ -272,8 +287,9 @@ def test_reduced_generator_random_vectors():
     rng = random.Random(424242)
     for _ in range(500):
         v = random_module_vector(rng)
-        red = reduced_support(v)  # construction itself checks the antichain
-        members = list(red.reduced_support)
+        # reduced_support returns a plain frozenset, so the antichain is
+        # checked here.
+        members = list(reduced_support(v))
         for s in members:
             for t in members:
                 if s != t:
@@ -335,16 +351,6 @@ def test_special_family_subsets():
     assert interval_family_subset(2, 2).elems == (3, 4)
     assert mixed_family_subset(3, 2).elems == (2, 4, 5)
     assert mixed_family_subset(4, 4).elems == (2, 4, 6, 8)
-
-
-def test_dim_special_values():
-    assert dim_special("catalan", k=3) == 14
-    assert dim_special("interval", k=2, m=2) == 6
-    assert dim_special("mixed", k=3, m=2) == 9
-    with pytest.raises(ValueError):
-        dim_special("cyclic", k=2)
-    with pytest.raises(ValueError):
-        dim_special("interval", k=2)
 
 
 def test_dim_special_parameter_ranges():

@@ -10,7 +10,7 @@ from itertools import combinations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dim_submodule_literal
+from conftest import dim_submodule_literal, reduced_support_literal
 from rookpaths import (
     HeightSequence,
     ModuleVector,
@@ -21,6 +21,7 @@ from rookpaths import (
     dim_submodule,
     dim_submodule_oracle,
     downset,
+    reduced_support,
 )
 
 increasing_boundaries = st.lists(st.integers(0, 40), min_size=1, max_size=12).map(
@@ -56,6 +57,14 @@ def antichain_vectors(draw):
     return ModuleVector(n, terms)
 
 
+@st.composite
+def module_vectors(draw):
+    """A vector over {1..n}, n <= 8, with up to 12 terms of any sizes."""
+    n = draw(st.integers(1, 8))
+    subsets = st.sets(st.integers(1, n)).map(lambda elems: Subset(n, tuple(sorted(elems))))
+    return ModuleVector(n, draw(st.dictionaries(subsets, coefficients, max_size=12)))
+
+
 @given(increasing_boundaries)
 def test_determinant_route_matches_the_oracle(a):
     assert count_below_increasing_determinant(a) == count_below_oracle(a)
@@ -69,3 +78,8 @@ def test_inclusion_exclusion_matches_the_downset(s):
 @given(antichain_vectors())
 def test_dim_submodule_matches_the_literal_sum_and_the_oracle(v):
     assert dim_submodule(v) == dim_submodule_literal(v) == dim_submodule_oracle(v)
+
+
+@given(module_vectors())
+def test_reduced_support_matches_the_all_pairs_rule(v):
+    assert reduced_support(v) == reduced_support_literal(v)

@@ -29,6 +29,11 @@ def test_partial_injection_validation():
         PartialInjection(3, ((1, 2), (2, 2)))  # repeated image
     with pytest.raises(ValueError):
         PartialInjection(0, ())
+    # Entries are taken as given, never converted: no floats, no digit strings.
+    with pytest.raises(ValueError, match="integers"):
+        PartialInjection(3, ((2.9, 1.5),))
+    with pytest.raises(ValueError, match="integers"):
+        PartialInjection(3, (("2", "1"),))
 
 
 def test_identity_and_zero_maps():
