@@ -13,7 +13,7 @@ import sys
 from decimal import Decimal
 from typing import TextIO
 
-from .exact_math import bad_int_message, hockey_stick_sides, quoted
+from .exact_math import bad_int_message, first_items, hockey_stick_sides, parse_ints, quoted
 from .icn_modules import (
     Subset,
     dim_principal_incl_excl,
@@ -111,20 +111,19 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _parse_csv_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        message = f"expected comma-separated integers, got {quoted(text)}"
-        raise ValueError(bad_int_message(text, message)) from None
+# Flags several commands take, each declared here once.  A command lists its
+# flags in order, each with keywords (a help text, say) over the shared ones.
+_FLAGS = {
+    "n": {"type": _nonnegative_int, "required": True},
+    "dir": {"required": True, "choices": ["dec", "inc"]},
+    "heights": {"required": True},
+    "cap": {"type": _nonnegative_int, "default": 1000},
+    "vector": {"required": True},
+}
 
 
 def _parse_heights(dir_text: str, heights_text: str) -> HeightSequence:
-    direction = Direction(dir_text)
-    return HeightSequence(direction, _parse_csv_ints(heights_text))
+    return HeightSequence(Direction(dir_text), parse_ints(heights_text))
 
 
 def _digits(n: int) -> str:
@@ -167,7 +166,7 @@ def _cmd_paths_list(args):
 
 
 def _cmd_dim_subset(args):
-    s = Subset(args.n, _parse_csv_ints(getattr(args, "set")))
+    s = Subset(args.n, parse_ints(getattr(args, "set")))
     return {"n": args.n, "set": list(s.elems)}, *_checked(args, s)
 
 
@@ -192,12 +191,9 @@ def _cmd_monoid_size(args):
 
 
 def _cmd_monoid_list(args):
-    if args.cap < 1:
-        raise ValueError(f"cap must be a positive count, got {args.cap}")
-    elements = enumerate_icn(args.n)
-    items = [format_two_line(f) for f in elements[: args.cap]]
-    fields = {"items": items, "truncated": len(elements) > args.cap}
-    return {"n": args.n, "cap": args.cap}, fields, items
+    elements, truncated = first_items(args.cap, lambda: enumerate_icn(args.n))
+    items = [format_two_line(f) for f in elements]
+    return {"n": args.n, "cap": args.cap}, {"items": items, "truncated": truncated}, items
 
 
 def _cmd_monoid_compose(args):
@@ -234,52 +230,35 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rookpaths", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, **flags):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit a JSON payload")
-        return p
+        for flag, keywords in flags.items():
+            p.add_argument(f"--{flag}", **{**_FLAGS.get(flag, {}), **keywords})
 
-    p = add("paths-count", _cmd_paths_count, "count monotone lattice paths below a height sequence")
-    p.add_argument("--dir", required=True, choices=["dec", "inc"])
-    p.add_argument("--heights", required=True, help="comma-separated heights, e.g. 4,3,3,1,1")
-
-    p = add("paths-list", _cmd_paths_list, "list the height sequences below a given one")
-    p.add_argument("--dir", required=True, choices=["dec", "inc"])
-    p.add_argument("--heights", required=True)
-    p.add_argument("--cap", type=_nonnegative_int, default=1000)
-
-    p = add("dim-subset", _cmd_dim_subset, "dimension of the module generated by one basis vector")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--set", required=True, help="comma-separated subset, e.g. 2,4,6")
-
-    p = add("dim-vector", _cmd_dim_vector, "dimension of the module generated by a vector")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--vector", required=True, help='terms like "1:{};1:{3};1:{4,7}"')
-
-    p = add("reduce", _cmd_reduce, "reduced support and reduced form of a vector")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--vector", required=True)
-
-    p = add("monoid-size", _cmd_monoid_size, "number of order preserving, order decreasing maps")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-
-    p = add("monoid-list", _cmd_monoid_list, "list the monoid elements in two-line notation")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--cap", type=_nonnegative_int, default=1000)
-
-    p = add("monoid-compose", _cmd_monoid_compose, "compose two maps given in two-line notation")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--f", required=True, help='two-line text, e.g. "1 3 4 / 1 2 3"')
-    p.add_argument("--g", required=True)
-
-    p = add("verify", _cmd_verify, "evaluate both sides of a combinatorial identity")
-    p.add_argument("--identity", required=True, choices=["cor34", "cor35", "hockey"])
-    p.add_argument("--heights", help="decreasing heights (cor34)")
-    p.add_argument("--k", type=_nonnegative_int, help="staircase size (cor35)")
-    p.add_argument("--a", type=_nonnegative_int, help="sum start (hockey)")
-    p.add_argument("--b", type=_nonnegative_int, help="number of summands (hockey)")
-    p.add_argument("--p", type=_nonnegative_int, help="lower binomial index (hockey)")
+    add("paths-count", _cmd_paths_count, "count monotone lattice paths below a height sequence",
+        dir={}, heights={"help": "comma-separated heights, e.g. 4,3,3,1,1"})
+    add("paths-list", _cmd_paths_list, "list the height sequences below a given one",
+        dir={}, heights={}, cap={})
+    add("dim-subset", _cmd_dim_subset, "dimension of the module generated by one basis vector",
+        n={}, set={"required": True, "help": "comma-separated subset, e.g. 2,4,6"})
+    add("dim-vector", _cmd_dim_vector, "dimension of the module generated by a vector",
+        n={}, vector={"help": 'terms like "1:{};1:{3};1:{4,7}"'})
+    add("reduce", _cmd_reduce, "reduced support and reduced form of a vector", n={}, vector={})
+    add("monoid-size", _cmd_monoid_size, "number of order preserving, order decreasing maps", n={})
+    add("monoid-list", _cmd_monoid_list, "list the monoid elements in two-line notation",
+        n={}, cap={})
+    add("monoid-compose", _cmd_monoid_compose, "compose two maps given in two-line notation",
+        n={}, f={"required": True, "help": 'two-line text, e.g. "1 3 4 / 1 2 3"'},
+        g={"required": True})
+    add("verify", _cmd_verify, "evaluate both sides of a combinatorial identity",
+        identity={"required": True, "choices": ["cor34", "cor35", "hockey"]},
+        heights={"required": False, "help": "decreasing heights (cor34)"},
+        k={"type": _nonnegative_int, "help": "staircase size (cor35)"},
+        a={"type": _nonnegative_int, "help": "sum start (hockey)"},
+        b={"type": _nonnegative_int, "help": "number of summands (hockey)"},
+        p={"type": _nonnegative_int, "help": "lower binomial index (hockey)"})
 
     for command, (routes, _) in _ROUTES.items():
         p = sub.choices[command]

@@ -1,13 +1,14 @@
 """Helpers shared by the other modules: binomials, Catalan numbers and
-Bareiss determinants on Python ints (nothing rounds or overflows), short
-echoes of inputs in error messages, and ``trusted``, which builds a value
-derived from checked ones without checking it again."""
+Bareiss determinants on Python ints (nothing rounds or overflows), the input
+rules, short echoes of inputs in error messages, and ``trusted``, which
+builds a value derived from checked ones without checking it again."""
 
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 # An input echoed in an error message is clipped to this many characters.
 ECHO_CHARS = 20
@@ -25,8 +26,7 @@ def binomial(n: int, k: int) -> int:
 
 def catalan(n: int) -> int:
     """Catalan number c_n = C(2n, n) / (n + 1), defined for n >= 1."""
-    if n < 1:
-        raise ValueError(f"catalan index must be positive, got {n}")
+    int_entries((n,), "catalan index must be positive", 1)
     return binomial(2 * n, n) // (n + 1)
 
 
@@ -37,8 +37,7 @@ def hockey_stick_sides(a: int, b: int, p: int) -> tuple[int, int]:
     sum (empty when b = 0) and the right side from two binomials.  Their
     equality is a tested property, never an assumption.
     """
-    if a < 0 or b < 0 or p < 0:
-        raise ValueError("hockey_stick_sides arguments must be nonnegative")
+    int_entries((a, b, p), "hockey_stick_sides arguments must be nonnegative", 0)
     left = sum(binomial(z, p) for z in range(a, a + b))
     right = binomial(a + b, p + 1) - binomial(a, p + 1)
     return left, right
@@ -68,6 +67,49 @@ def bad_int_message(text: str, message: str) -> str:
     return message
 
 
+def int_entries(values, rule: str, low=-math.inf, high=math.inf) -> tuple[int, ...]:
+    """values as a tuple, when each is an int (a bool is not) in low..high;
+    else ValueError(f"{rule}, got <the first bad value>"), where {low} and
+    {high} in rule stand for the bounds."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int or not low <= v <= high:
+            raise ValueError(f"{rule.format(low=low, high=high)}, got {v!r}")
+    return values
+
+
+def positive_ambient(n) -> int:
+    """n, when it is a valid ambient size: an int n >= 1, for {1..n}."""
+    return int_entries((n,), "ambient size must be a positive integer", 1)[0]
+
+
+def same_ambient(a, b) -> None:
+    """Refuse two values (anything with an ambient size n) over different {1..n}."""
+    if a.n != b.n:
+        raise ValueError(f"ambient sizes differ: {a.n} vs {b.n}")
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of text; blank text gives ()."""
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        message = f"expected comma-separated integers, got {quoted(text)}"
+        raise ValueError(bad_int_message(text, message)) from None
+
+
+def first_items(cap: int, items) -> tuple[list, bool]:
+    """The first cap items of the iterable items() returns, and whether it
+    had more.  The cap is checked before items() is called."""
+    int_entries((cap,), "cap must be a positive count", 1)
+    it = iter(items())
+    taken = list(islice(it, cap))
+    return taken, next(it, None) is not None
+
+
 def trusted(cls, *values):
     """An instance of the frozen dataclass cls with its fields set to values,
     skipping __post_init__: only for values valid by construction, derived
@@ -86,14 +128,10 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+        rows = tuple(int_entries(row, "matrix entries must be ints") for row in self.entries)
         object.__setattr__(self, "entries", rows)
-        for row in rows:
-            if len(row) != len(rows[0]):
-                raise ValueError("matrix rows must all have the same length")
-            for x in row:
-                if not isinstance(x, int):
-                    raise ValueError(f"matrix entries must be ints, got {x!r}")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("matrix rows must all have the same length")
 
     @property
     def rows(self) -> int:

@@ -27,7 +27,18 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, Mapping
 
-from .exact_math import bad_int_message, binomial, catalan, int_digit_limit, quoted, trusted
+from .exact_math import (
+    bad_int_message,
+    binomial,
+    catalan,
+    int_digit_limit,
+    int_entries,
+    parse_ints,
+    positive_ambient,
+    quoted,
+    same_ambient,
+    trusted,
+)
 from .lattice_paths import (
     Direction,
     HeightSequence,
@@ -58,15 +69,9 @@ class Subset:
     elems: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(self.elems)
+        n = positive_ambient(self.n)
+        elems = int_entries(self.elems, "elements must be integers in {low}..{high}", 1, n)
         object.__setattr__(self, "elems", elems)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"ambient size must be a positive integer, got {self.n!r}")
-        for e in elems:
-            if not isinstance(e, int):
-                raise ValueError(f"elements must be integers, got {e!r}")
-            if not 1 <= e <= self.n:
-                raise ValueError(f"element {e} outside 1..{self.n}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError(f"elements must be strictly increasing, got {elems}")
 
@@ -82,14 +87,9 @@ def _subset_sort_key(s: Subset) -> tuple[int, tuple[int, ...]]:
     return (len(s.elems), s.elems)
 
 
-def _check_same_ambient(a, b) -> None:
-    if a.n != b.n:
-        raise ValueError(f"ambient sizes differ: {a.n} vs {b.n}")
-
-
 def subset_leq(t: Subset, s: Subset) -> bool:
     """Componentwise order on equal-size subsets; sizes differ means incomparable."""
-    _check_same_ambient(t, s)
+    same_ambient(t, s)
     if len(t.elems) != len(s.elems):
         return False
     return all(a <= b for a, b in zip(t.elems, s.elems))
@@ -97,7 +97,7 @@ def subset_leq(t: Subset, s: Subset) -> bool:
 
 def subset_meet(s: Subset, t: Subset) -> Subset:
     """Greatest lower bound of equal-size subsets: the componentwise minimum."""
-    _check_same_ambient(s, t)
+    same_ambient(s, t)
     if len(s.elems) != len(t.elems):
         raise ValueError("meet is defined for equal-size subsets only")
     return trusted(Subset, s.n, tuple(map(min, s.elems, t.elems)))
@@ -117,24 +117,23 @@ def downset(s: Subset) -> list[Subset]:
 class ModuleVector:
     """Finite formal rational combination of basis vectors v_S.
 
-    Only nonzero coefficients are stored, so the support is structural.
+    Coefficients must be ints (not bools) or Fractions; they are stored as
+    Fractions, and only nonzero ones, so the support is structural.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[Subset, object] | None = None):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"ambient size must be a positive integer, got {n!r}")
-        self.n = n
+        self.n = positive_ambient(n)
         self.terms: dict[Subset, Fraction] = {}
         for subset, coeff in (terms or {}).items():
             if not isinstance(subset, Subset):
                 raise ValueError(f"term key must be a Subset, got {subset!r}")
-            if subset.n != n:
-                raise ValueError(f"ambient sizes differ: {subset.n} vs {n}")
-            value = Fraction(coeff)
-            if value != 0:
-                self.terms[subset] = value
+            same_ambient(subset, self)
+            if type(coeff) is not int and not isinstance(coeff, Fraction):
+                raise ValueError(f"coefficients must be ints or Fractions, got {coeff!r}")
+            if coeff:
+                self.terms[subset] = Fraction(coeff)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -166,8 +165,7 @@ def act(f: PartialInjection, v: ModuleVector) -> ModuleVector:
     case it moves to v_{f(S)}; f must be order preserving and order decreasing,
     so f(S) lists its elements in increasing order.
     """
-    if f.n != v.n:
-        raise ValueError(f"ambient sizes differ: {f.n} vs {v.n}")
+    same_ambient(f, v)
     if not (is_order_preserving(f) and is_order_decreasing(f)):
         raise ValueError("map must be order preserving and order decreasing")
     mapping = f.as_dict()
@@ -199,7 +197,7 @@ def reduced_form(v: ModuleVector) -> ModuleVector:
 
 def submodule_equal(v: ModuleVector, w: ModuleVector) -> bool:
     """True iff v and w generate the same submodule (same reduced support)."""
-    _check_same_ambient(v, w)
+    same_ambient(v, w)
     return reduced_support(v) == reduced_support(w)
 
 
@@ -249,38 +247,30 @@ def dim_principal_incl_excl(s: Subset) -> int:
     return (-1) ** k * sum(f)
 
 
-def catalan_family_subset(k: int, n: int | None = None) -> Subset:
-    """The even staircase {2, 4, ..., 2k}."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if n is None:
-        n = 2 * k
-    return Subset(n, tuple(2 * i for i in range(1, k + 1)))
+def catalan_family_subset(k: int) -> Subset:
+    """The even staircase {2, 4, ..., 2k}, a subset of {1..2k}."""
+    int_entries((k,), "k must be positive", 1)
+    return Subset(2 * k, tuple(2 * i for i in range(1, k + 1)))
 
 
-def interval_family_subset(m: int, k: int, n: int | None = None) -> Subset:
-    """The interval {m+1, ..., m+k}."""
+def interval_family_subset(m: int, k: int) -> Subset:
+    """The interval {m+1, ..., m+k}, a subset of {1..m+k}."""
     if m < 0 or k < 1:
         raise ValueError(f"need m >= 0 and k >= 1, got m={m}, k={k}")
-    if n is None:
-        n = m + k
-    return Subset(n, tuple(range(m + 1, m + k + 1)))
+    return Subset(m + k, tuple(range(m + 1, m + k + 1)))
 
 
-def mixed_family_subset(k: int, m: int, n: int | None = None) -> Subset:
-    """The staircase-then-interval subset {2, 4, ..., 2m, 2m+1, ..., m+k}."""
+def mixed_family_subset(k: int, m: int) -> Subset:
+    """The staircase-then-interval subset {2, 4, ..., 2m, 2m+1, ..., m+k} of {1..m+k}."""
     if not 2 <= m <= k:
         raise ValueError(f"need k >= m >= 2, got k={k}, m={m}")
     elems = tuple(2 * i for i in range(1, m + 1)) + tuple(range(2 * m + 1, m + k + 1))
-    if n is None:
-        n = m + k
-    return Subset(n, elems)
+    return Subset(m + k, elems)
 
 
 def dim_catalan_family(k: int) -> int:
     """Closed form for dim <v_{2,4,...,2k}>: the Catalan number c_{k+1}."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    int_entries((k,), "k must be positive", 1)
     return catalan(k + 1)
 
 
@@ -409,16 +399,7 @@ def parse_module_vector(text: str, n: int) -> ModuleVector:
         set_text = set_text.strip()
         if not (set_text.startswith("{") and set_text.endswith("}")):
             raise ValueError(f"subset {quoted(set_text)} must be brace-delimited")
-        inner = set_text[1:-1].strip()
-        if inner:
-            try:
-                elems = tuple(int(tok) for tok in inner.split(","))
-            except ValueError:
-                message = f"bad subset {quoted(set_text)}"
-                raise ValueError(bad_int_message(inner, message)) from None
-        else:
-            elems = ()
-        subset = Subset(n, elems)
+        subset = Subset(n, parse_ints(set_text[1:-1]))
         terms[subset] = terms.get(subset, Fraction(0)) + coeff
     return ModuleVector(n, terms)
 

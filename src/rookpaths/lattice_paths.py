@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .exact_math import IntMatrix, binomial, catalan, det_exact, trusted
+from .exact_math import IntMatrix, binomial, catalan, det_exact, first_items, int_entries, trusted
 
 # The DP oracle's work and table are bounded by its sum(h_i + 1) cells.  At
 # 10^7 cells the slowest shapes measured on CPython 3.11 took about 2.3 s (a
@@ -44,15 +44,12 @@ class HeightSequence:
     heights: tuple[int, ...]
 
     def __post_init__(self):
-        heights = tuple(self.heights)
+        heights = int_entries(self.heights, "heights must be nonnegative integers", 0)
         object.__setattr__(self, "heights", heights)
         if not isinstance(self.direction, Direction):
             raise ValueError(f"bad direction {self.direction!r}")
         if not heights:
             raise ValueError("height sequence must be nonempty")
-        for h in heights:
-            if not isinstance(h, int) or h < 0:
-                raise ValueError(f"heights must be nonnegative integers, got {h!r}")
         if self.direction is Direction.DECREASING:
             monotone = all(a >= b for a, b in zip(heights, heights[1:]))
         else:
@@ -98,13 +95,11 @@ class LatticePath:
     direction: Direction | None = None
 
     def __post_init__(self):
-        start = tuple(self.start)
-        steps = tuple(tuple(s) for s in self.steps)
+        start = int_entries(self.start, "start coordinates must be integers")
+        steps = tuple(int_entries(s, "step coordinates must be integers") for s in self.steps)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
-        if len(start) != 2 or not all(isinstance(c, int) for c in start):
-            raise ValueError(f"start must be a pair of integers, got {start!r}")
-        if start[0] != 0 or start[1] < 0:
+        if len(start) != 2 or start[0] != 0 or start[1] < 0:
             raise ValueError(f"path must start on the nonnegative y-axis, got {start}")
         seen = {s for s in steps if s != (1, 0)}
         if seen - {(0, -1)} and seen - {(0, 1)}:
@@ -331,12 +326,7 @@ class BelowEnumeration(NamedTuple):
 
 def enumerate_below(h: HeightSequence, cap: int) -> BelowEnumeration:
     """List the sequences below h in lexicographic order, at most cap of them."""
-    if cap < 1:
-        raise ValueError(f"cap must be a positive count, got {cap}")
-    it = iter_below(h)
-    items = list(islice(it, cap))
-    truncated = next(it, None) is not None
-    return BelowEnumeration(items, truncated)
+    return BelowEnumeration(*first_items(cap, lambda: iter_below(h)))
 
 
 def verify_identity_cor34(lam: HeightSequence) -> tuple[int, int, bool]:
@@ -368,8 +358,7 @@ def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
     gamma_1 = 1, gamma_i = -sum(C(2(i-j-1), i-j) * gamma_j, j = 1..i-2).
     Returns (left, right, equal); requires k >= 2.
     """
-    if k < 2:
-        raise ValueError(f"identity needs k >= 2, got {k}")
+    int_entries((k,), "identity needs k >= 2", 2)
     g = [0, 1]  # 1-indexed; g[i] = gamma_i
     for i in range(2, k):
         g.append(-sum(binomial(2 * (i - j - 1), i - j) * g[j] for j in range(1, i - 1)))

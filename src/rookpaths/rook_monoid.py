@@ -11,7 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .exact_math import IntMatrix, bad_int_message, quoted, trusted
+from .exact_math import (
+    IntMatrix,
+    bad_int_message,
+    int_entries,
+    positive_ambient,
+    quoted,
+    same_ambient,
+    trusted,
+)
 from .lattice_paths import iter_subsets_below
 
 # enumerate_icn builds all c_{n+1} maps of {1..n}: 58786 at n = 10.
@@ -28,15 +36,10 @@ class PartialInjection:
     def __post_init__(self):
         pairs = tuple((s, i) for s, i in self.pairs)
         object.__setattr__(self, "pairs", pairs)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"ambient size must be a positive integer, got {self.n!r}")
+        n = positive_ambient(self.n)
         sources = [s for s, _ in pairs]
         images = [i for _, i in pairs]
-        for v in chain(sources, images):
-            if not isinstance(v, int):
-                raise ValueError(f"entries must be integers, got {v!r}")
-            if not 1 <= v <= self.n:
-                raise ValueError(f"entry {v} outside 1..{self.n}")
+        int_entries(chain(sources, images), "entries must be integers in {low}..{high}", 1, n)
         if any(a >= b for a, b in zip(sources, sources[1:])):
             raise ValueError(f"sources must be strictly increasing, got {sources}")
         if len(set(images)) != len(images):
@@ -69,8 +72,7 @@ def zero_map(n: int) -> PartialInjection:
 
 def compose(f: PartialInjection, g: PartialInjection) -> PartialInjection:
     """The composite x -> f(g(x)), defined where g(x) lies in the domain of f."""
-    if f.n != g.n:
-        raise ValueError(f"ambient sizes differ: {f.n} vs {g.n}")
+    same_ambient(f, g)
     fm = f.as_dict()
     pairs = tuple((x, fm[y]) for x, y in g.pairs if y in fm)
     return trusted(PartialInjection, f.n, pairs)
@@ -136,8 +138,7 @@ def enumerate_icn(n: int) -> list[PartialInjection]:
     with R dominated by D componentwise; the sorted bijection between them is
     the map.  Output is ordered by (sources, images) lexicographically.
     """
-    if not 1 <= n <= MAX_ICN_N:
-        raise ValueError(f"n must be within 1..{MAX_ICN_N}, got {n}")
+    int_entries((n,), "n must be within {low}..{high}", 1, MAX_ICN_N)
     domains = sorted(
         chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1))
     )

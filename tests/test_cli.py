@@ -142,6 +142,22 @@ def test_monoid_list_truncation_note_goes_to_stderr_in_text_mode_only():
     assert err == ""
 
 
+def test_listings_default_to_a_cap_of_1000():
+    for argv in [["paths-list", "--dir", "dec", "--heights", "1000"], ["monoid-list", "--n", "7"]]:
+        _, payload = plain_and_json(argv)
+        assert payload["input"]["cap"] == 1000 and len(payload["items"]) == 1000, argv
+        assert payload["truncated"] is True, argv
+
+
+def test_the_cap_is_checked_before_anything_is_listed():
+    # --n 99 is over the monoid's bound too, so the cap must be checked first.
+    for argv in [
+        ["monoid-list", "--n", "99", "--cap", "0"],
+        ["paths-list", "--dir", "dec", "--heights", "1", "--cap", "0"],
+    ]:
+        assert invoke(argv) == (2, "", "error: cap must be a positive count, got 0\n"), argv
+
+
 def test_monoid_compose():
     plain, payload = plain_and_json(
         ["monoid-compose", "--n", "3", "--f", "2 3 / 1 2", "--g", "1 2 / 1 2"]

@@ -56,6 +56,8 @@ def test_catalan_rejects_nonpositive():
         catalan(0)
     with pytest.raises(ValueError):
         catalan(-3)
+    with pytest.raises(ValueError, match="got True"):
+        catalan(True)
 
 
 def test_det_exact_small_cases():
@@ -90,6 +92,8 @@ def test_int_matrix_validation():
         IntMatrix(((1, 2), (3,)))
     with pytest.raises(ValueError):
         IntMatrix(((1.5,),))
+    with pytest.raises(ValueError, match="ints"):
+        IntMatrix(((True,),))
 
 
 def test_int_matrix_upper_triangular():
@@ -115,3 +119,5 @@ def test_hockey_stick_sides_agree_everywhere():
 def test_hockey_stick_rejects_negative():
     with pytest.raises(ValueError):
         hockey_stick_sides(-1, 2, 3)
+    with pytest.raises(ValueError, match="got True"):
+        hockey_stick_sides(2, True, 1)

@@ -74,6 +74,11 @@ def test_subset_validation():
         Subset(5, (2.7, 3.2))
     with pytest.raises(ValueError, match="integers"):
         Subset(5, ("2", "3"))
+    # A bool is not an int here, though isinstance(True, int) holds.
+    with pytest.raises(ValueError, match="integers"):
+        Subset(4, (True, 2))
+    with pytest.raises(ValueError, match="ambient size"):
+        Subset(True, ())
     assert len(Subset(4, ())) == 0
 
 
@@ -93,6 +98,8 @@ def test_subset_meet():
     assert subset_meet(s, s) == s
     with pytest.raises(ValueError):
         subset_meet(Subset(4, (1,)), Subset(4, (1, 2)))
+    with pytest.raises(ValueError, match="ambient sizes differ"):
+        subset_meet(Subset(4, (1,)), Subset(5, (1,)))
 
 
 def test_meet_is_greatest_lower_bound():
@@ -117,6 +124,15 @@ def test_module_vector_normalization():
     assert zero_vector(3).is_zero()
     with pytest.raises(ValueError):
         ModuleVector(4, {Subset(5, (1,)): 1})
+    with pytest.raises(ValueError, match="ambient size"):
+        ModuleVector(True)
+    # Coefficients are ints or Fractions, taken as given: a float would be
+    # stored as its binary value and a string parsed.
+    for coeff in [0.1, "1/2", True, 2.0]:
+        with pytest.raises(ValueError, match="coefficients"):
+            ModuleVector(4, {Subset(4, (1,)): coeff})
+    v = ModuleVector(4, {Subset(4, (1,)): 3, Subset(4, (2,)): Fraction(-1, 2)})
+    assert format_module_vector(v) == "3:{1};-1/2:{2}"
 
 
 def test_parse_and_format_round_trip():
@@ -281,6 +297,8 @@ def test_submodule_equal():
     assert not submodule_equal(
         basis_vector(Subset(3, (1,))), basis_vector(Subset(3, (2,)))
     )
+    with pytest.raises(ValueError, match="ambient sizes differ"):
+        submodule_equal(basis_vector(Subset(3, (1,))), basis_vector(Subset(4, (1,))))
 
 
 def test_reduced_generator_random_vectors():
@@ -347,10 +365,10 @@ def test_dimension_monotone_along_order():
 
 
 def test_special_family_subsets():
-    assert catalan_family_subset(3).elems == (2, 4, 6)
-    assert interval_family_subset(2, 2).elems == (3, 4)
-    assert mixed_family_subset(3, 2).elems == (2, 4, 5)
-    assert mixed_family_subset(4, 4).elems == (2, 4, 6, 8)
+    assert catalan_family_subset(3) == Subset(6, (2, 4, 6))
+    assert interval_family_subset(2, 2) == Subset(4, (3, 4))
+    assert mixed_family_subset(3, 2) == Subset(5, (2, 4, 5))
+    assert mixed_family_subset(4, 4) == Subset(8, (2, 4, 6, 8))
 
 
 def test_dim_special_parameter_ranges():

@@ -49,6 +49,8 @@ def test_height_sequence_validation():
         inc((2, 1))
     with pytest.raises(ValueError):
         dec((3, -1))
+    with pytest.raises(ValueError, match="integers"):
+        HeightSequence.decreasing([True])
     assert dec((3, 3, 0)).heights == (3, 3, 0)
 
 
@@ -100,6 +102,11 @@ def test_path_validation():
         LatticePath((0, 1), ((0, 1),), Direction.DECREASING)  # step not allowed
     with pytest.raises(ValueError):
         heights_from_path(LatticePath((0, 2), ((0, -1),)))  # no horizontal step
+    with pytest.raises(ValueError, match="integers"):
+        LatticePath((0, True), ())  # a bool coordinate
+    for step in [(True, 0), (1.0, 0)]:
+        with pytest.raises(ValueError, match="integers"):
+            LatticePath((0, 0), (step,))
 
 
 def test_round_trip_on_exhaustive_range():

@@ -34,6 +34,10 @@ def test_partial_injection_validation():
         PartialInjection(3, ((2.9, 1.5),))
     with pytest.raises(ValueError, match="integers"):
         PartialInjection(3, (("2", "1"),))
+    with pytest.raises(ValueError, match="integers"):
+        PartialInjection(3, ((True, 1),))
+    with pytest.raises(ValueError, match="ambient size"):
+        PartialInjection(True, ())
 
 
 def test_identity_and_zero_maps():
@@ -148,6 +152,8 @@ def test_enumerate_icn_is_sorted_and_bounded():
         enumerate_icn(0)
     with pytest.raises(ValueError):
         enumerate_icn(11)
+    with pytest.raises(ValueError, match="n must be within 1..10, got True"):
+        enumerate_icn(True)
 
 
 def test_associativity_exhaustive():
