@@ -16,11 +16,11 @@ from typing import TextIO
 from .exact_math import bad_int_message, first_items, hockey_stick_sides, parse_ints, quoted
 from .icn_modules import (
     Subset,
+    basis_vector,
     dim_principal_incl_excl,
     dim_principal_iterative,
     dim_submodule,
     dim_submodule_oracle,
-    downset,
     format_module_vector,
     parse_module_vector,
     reduced_form,
@@ -89,7 +89,7 @@ _ROUTES = {
         {
             "iterative": lambda s: dim_principal_iterative(s),
             "determinant": lambda s: dim_principal_incl_excl(s),
-            "oracle": lambda s: len(downset(s)),
+            "oracle": lambda s: dim_submodule_oracle(basis_vector(s)),
         },
         lambda s: "iterative",
     ),

@@ -13,24 +13,24 @@ Dimension routes provided:
   * dim_principal_incl_excl  -- the signed sum of binomial determinants over
     the subsets of S, taken in O(k^2) binomials by one recurrence over the
     elements of S instead of 2^k determinants,
-  * len(downset(S))          -- brute-force oracle,
   * dim_submodule            -- inclusion-exclusion over the reduced support
     for an arbitrary vector, kept as one signed coefficient per distinct
-    meet of generators instead of one term per set of generators, with
-    dim_submodule_oracle as its brute-force counterpart.
+    meet of generators instead of one term per set of generators,
+  * dim_submodule_oracle     -- brute force: the union of the terms' downsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterator, Mapping
 
 from .exact_math import (
     bad_int_message,
     binomial,
     catalan,
+    first_items,
     int_digit_limit,
     int_entries,
     parse_ints,
@@ -58,7 +58,8 @@ MAX_INCL_EXCL_SIZE = 300
 # of {1..30} came to 0.92M units and 1.2 s.  Past ~100 elements a dimension
 # costs more than k^2 units, as dim_principal_iterative's binomials grow.
 MAX_SUBMODULE_WORK = 1_000_000
-MAX_ORACLE_AMBIENT = 16
+# A walked k-subset costs k + 1 units; 5M took 0.5-0.8 s, 105-160 MB on CPython 3.11.
+MAX_ORACLE_WALK = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,13 @@ def subset_meet(s: Subset, t: Subset) -> Subset:
     return trusted(Subset, s.n, tuple(map(min, s.elems, t.elems)))
 
 
-def iter_downset(s: Subset) -> Iterator[Subset]:
-    """Yield every subset T <= S in ascending lexicographic order."""
-    for t in iter_subsets_below(s.elems):
-        yield trusted(Subset, s.n, t)
+def iter_downset(s: Subset) -> Iterator[tuple[int, ...]]:
+    """Yield the elements of every subset T <= S in ascending lexicographic order."""
+    return iter_subsets_below(s.elems)
 
 
-def downset(s: Subset) -> list[Subset]:
-    """All subsets below s; its length is the brute-force dimension oracle."""
+def downset(s: Subset) -> list[tuple[int, ...]]:
+    """The elements of every subset below s, in ascending lexicographic order."""
     return list(iter_downset(s))
 
 
@@ -247,37 +247,49 @@ def dim_principal_incl_excl(s: Subset) -> int:
     return (-1) ** k * sum(f)
 
 
+# Each special family's parameter rule, shared by its builder and closed form.
+def _catalan_params(k: int) -> None:
+    int_entries((k,), "k must be an integer >= {low}", 1)
+
+
+def _interval_params(m: int, k: int) -> None:
+    int_entries((m,), "m must be an integer >= {low}", 0)
+    int_entries((k,), "k must be an integer >= {low}", 1)
+
+
+def _mixed_params(k: int, m: int) -> None:
+    int_entries((k,), "k must be an integer >= {low}", 2)
+    int_entries((m,), "m must be an integer in {low}..{high}", 2, k)
+
+
 def catalan_family_subset(k: int) -> Subset:
     """The even staircase {2, 4, ..., 2k}, a subset of {1..2k}."""
-    int_entries((k,), "k must be positive", 1)
+    _catalan_params(k)
     return Subset(2 * k, tuple(2 * i for i in range(1, k + 1)))
 
 
 def interval_family_subset(m: int, k: int) -> Subset:
     """The interval {m+1, ..., m+k}, a subset of {1..m+k}."""
-    if m < 0 or k < 1:
-        raise ValueError(f"need m >= 0 and k >= 1, got m={m}, k={k}")
+    _interval_params(m, k)
     return Subset(m + k, tuple(range(m + 1, m + k + 1)))
 
 
 def mixed_family_subset(k: int, m: int) -> Subset:
     """The staircase-then-interval subset {2, 4, ..., 2m, 2m+1, ..., m+k} of {1..m+k}."""
-    if not 2 <= m <= k:
-        raise ValueError(f"need k >= m >= 2, got k={k}, m={m}")
+    _mixed_params(k, m)
     elems = tuple(2 * i for i in range(1, m + 1)) + tuple(range(2 * m + 1, m + k + 1))
     return Subset(m + k, elems)
 
 
 def dim_catalan_family(k: int) -> int:
     """Closed form for dim <v_{2,4,...,2k}>: the Catalan number c_{k+1}."""
-    int_entries((k,), "k must be positive", 1)
+    _catalan_params(k)
     return catalan(k + 1)
 
 
 def dim_interval_family(m: int, k: int) -> int:
     """Closed form for dim <v_{m+1,...,m+k}>: the binomial C(m+k, k)."""
-    if m < 0 or k < 1:
-        raise ValueError(f"need m >= 0 and k >= 1, got m={m}, k={k}")
+    _interval_params(m, k)
     return binomial(m + k, k)
 
 
@@ -290,8 +302,7 @@ def dim_mixed_family(k: int, m: int) -> int:
                   - sum(C(2(i-j-1), i-j) * gamma_j, j = k-m+3..i-2)
     for i >= k-m+4.
     """
-    if not 2 <= m <= k:
-        raise ValueError(f"need k >= m >= 2, got k={k}, m={m}")
+    _mixed_params(k, m)
     g = [0] * (k + 1)  # 1-indexed
     g[1] = 1
     for i in range(2, k):
@@ -352,13 +363,13 @@ def _within_budget(work: int) -> int:
 
 
 def dim_submodule_oracle(v: ModuleVector) -> int:
-    """Dimension of <v> as the size of the explicit union of downsets."""
-    if v.n > MAX_ORACLE_AMBIENT:
-        raise ValueError(f"ambient size {v.n} exceeds oracle bound {MAX_ORACLE_AMBIENT}")
-    seen: set[Subset] = set()
-    for s in reduced_support(v):
-        seen.update(iter_downset(s))
-    return len(seen)
+    """Dimension of <v>: the size of the union of all its terms' downsets."""
+    k = max(map(len, v.terms), default=0)
+    cap = max(1, MAX_ORACLE_WALK // (k + 1))
+    walked, more = first_items(cap, lambda: chain.from_iterable(map(iter_downset, v.terms)))
+    if more:
+        raise ValueError(f"oracle walk exceeds bound {cap} subsets of up to {k} elements")
+    return len(set(walked))
 
 
 def _exponent(coeff_text: str) -> int:

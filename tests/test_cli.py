@@ -1,11 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import independent_antichain
-from rookpaths import cli
+from rookpaths import Subset, cli, icn_modules
 from rookpaths.cli import run
 
 
@@ -104,6 +107,8 @@ def test_dim_vector_value():
             ["dim-vector", "--n", "7", "--vector", vector, "--method", method, "--check"]
         )
         assert code == 0 and out.strip() == "24"
+    argv = ["dim-vector", "--n", "17", "--vector", "1:{1}", "--method", "oracle"]
+    assert invoke(argv) == (0, "1\n", "")
 
 
 def test_reduce_output():
@@ -224,7 +229,8 @@ def test_domain_errors_exit_2():
         ["dim-subset", "--n", "8", "--set", "3,3"],
         ["dim-subset", "--n", "4", "--set", "9"],
         ["dim-vector", "--n", "7", "--vector", "1:{1"],
-        ["dim-vector", "--n", "17", "--vector", "1:{1}", "--method", "oracle"],
+        # Over the oracle's walk bound: 9.8 * 10^9 subsets lie below this one.
+        ["dim-subset", "--n", "60", "--set", "20,25,30,35,40,45,50,55,60", "--check"],
         # Over the inclusion-exclusion work bound: 2^13 - 1 distinct meets.
         ["dim-vector", "--n", "26", "--vector",
          ";".join("1:{%s}" % ",".join(map(str, g)) for g in independent_antichain(13))],
@@ -237,6 +243,22 @@ def test_domain_errors_exit_2():
         code, _, err = invoke(argv)
         assert code == 2, argv
         assert err
+
+
+def test_main_exits_with_the_code_run_returns():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv, code, out in [
+        (["paths-count", "--dir", "dec", "--heights", "4,2"], 0, "12\n"),
+        (["no-such-command"], 1, ""),
+        (["paths-count", "--dir", "dec", "--heights", "1,2"], 2, ""),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "rookpaths.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (code, out), argv
+        assert bool(done.stderr) == (code != 0), argv
 
 
 def test_help_is_written_to_out_and_returns_0():
@@ -321,9 +343,8 @@ def test_answers_longer_than_the_string_conversion_limit_print_exactly():
 
 @pytest.fixture
 def off_by_one_oracles(monkeypatch):
-    count, down, dim = cli.count_below_oracle, cli.downset, cli.dim_submodule_oracle
+    count, dim = cli.count_below_oracle, cli.dim_submodule_oracle
     monkeypatch.setattr(cli, "count_below_oracle", lambda h: count(h) + 1)
-    monkeypatch.setattr(cli, "downset", lambda s: down(s) + [s])
     monkeypatch.setattr(cli, "dim_submodule_oracle", lambda v: dim(v) + 1)
 
 
@@ -353,6 +374,15 @@ def test_check_of_every_other_route_uses_the_oracle(off_by_one_oracles):
             code, out, err = invoke(argv + ["--method", method, "--check"])
             assert code == 2 and not out, (argv, method)
             assert err.endswith(f" gave {value}, oracle gave {value + 1}\n"), (argv, method)
+
+
+def test_the_vector_oracle_shares_no_code_with_dim_submodule(monkeypatch):
+    # A reduced support that loses the generator {3} makes dim_submodule
+    # wrong; an oracle that read the reduced support too would agree with it.
+    reduced = icn_modules.reduced_support
+    monkeypatch.setattr(icn_modules, "reduced_support", lambda v: reduced(v) - {Subset(7, (3,))})
+    code, out, err = invoke(["dim-vector", "--n", "7", "--vector", "1:{3};1:{4,7}", "--check"])
+    assert (code, out, err) == (2, "", "check failed: iterative gave 18, oracle gave 21\n")
 
 
 def test_long_inputs_do_not_exhaust_the_stack():

@@ -41,7 +41,7 @@ from rookpaths import (
     zero_vector,
 )
 from rookpaths import icn_modules
-from rookpaths.icn_modules import MAX_INCL_EXCL_SIZE, MAX_SUBMODULE_WORK
+from rookpaths.icn_modules import MAX_INCL_EXCL_SIZE, MAX_ORACLE_WALK, MAX_SUBMODULE_WORK
 
 SIGMA = PartialInjection(4, ((1, 1), (3, 2), (4, 3)))
 
@@ -209,18 +209,17 @@ def test_action_preserves_cardinality():
 
 
 def test_downset_listing():
-    assert [t.elems for t in downset(Subset(4, (2,)))] == [(1,), (2,)]
-    s = Subset(5, (1, 2, 3))
-    assert downset(s) == [s]
+    assert downset(Subset(4, (2,))) == [(1,), (2,)]
+    assert downset(Subset(5, (1, 2, 3))) == [(1, 2, 3)]
     assert len(downset(Subset(6, (2, 4)))) == 5
-    assert [t.elems for t in downset(Subset(6, (2, 4)))] == [
+    assert downset(Subset(6, (2, 4))) == [
         (1, 2),
         (1, 3),
         (1, 4),
         (2, 3),
         (2, 4),
     ]
-    assert downset(Subset(3, ())) == [Subset(3, ())]
+    assert downset(Subset(3, ())) == [()]
 
 
 def test_downset_matches_lexicographic_brute_force():
@@ -233,8 +232,8 @@ def test_downset_matches_lexicographic_brute_force():
                 for t in combinations(range(1, n + 1), len(s))
                 if all(a <= b for a, b in zip(t, s.elems))
             ]
-            assert [t.elems for t in iter_downset(s)] == expected, s
-            assert downset(s) == [Subset(n, t) for t in expected]
+            assert list(iter_downset(s)) == expected, s
+            assert downset(s) == expected
 
 
 def test_downset_containment_characterizes_order():
@@ -372,18 +371,25 @@ def test_special_family_subsets():
 
 
 def test_dim_special_parameter_ranges():
-    with pytest.raises(ValueError):
-        dim_catalan_family(0)
-    with pytest.raises(ValueError):
-        dim_interval_family(-1, 2)
-    with pytest.raises(ValueError):
-        dim_interval_family(2, 0)
     # The mixed closed form is stated for m >= 2 only; smaller m goes
-    # through the general route instead.
-    with pytest.raises(ValueError):
-        dim_mixed_family(4, 1)
-    with pytest.raises(ValueError):
-        dim_mixed_family(2, 3)
+    # through the general route instead.  A builder and its closed form
+    # share one check, so floats and bools are refused with the rule.
+    for fn, args, rule in [
+        (dim_catalan_family, (0,), "k must be an integer >= 1, got 0"),
+        (catalan_family_subset, (True,), "k must be an integer >= 1, got True"),
+        (dim_interval_family, (-1, 2), "m must be an integer >= 0, got -1"),
+        (dim_interval_family, (2, 0), "k must be an integer >= 1, got 0"),
+        (dim_interval_family, (0.5, 2), "m must be an integer >= 0, got 0.5"),
+        (dim_interval_family, (True, 2), "m must be an integer >= 0, got True"),
+        (interval_family_subset, (True, 2), "m must be an integer >= 0, got True"),
+        (dim_mixed_family, (4, 1), "m must be an integer in 2..4, got 1"),
+        (dim_mixed_family, (2, 3), "m must be an integer in 2..2, got 3"),
+        (dim_mixed_family, (4.0, 2), "k must be an integer >= 2, got 4.0"),
+        (mixed_family_subset, (3, 2.0), "m must be an integer in 2..3, got 2.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        assert str(info.value) == rule, (fn, args)
 
 
 def test_catalan_family_matches_both_routes():
@@ -431,9 +437,18 @@ def test_dim_submodule_top_module():
             assert dim_submodule(basis_vector(top)) == binomial(n, k)
 
 
-def test_dim_submodule_oracle_bound():
-    with pytest.raises(ValueError):
-        dim_submodule_oracle(basis_vector(Subset(17, (1,))))
+def test_dim_submodule_oracle_bound(monkeypatch):
+    # The top subset of each size: all 2^16 subsets of {1..16}, walked once.
+    tops = {Subset(16, tuple(range(17 - k, 17))): 1 for k in range(17)}
+    assert MAX_ORACLE_WALK // 17 >= 2**16
+    assert dim_submodule_oracle(ModuleVector(16, tops)) == 2**16
+    # Terms of up to 3 elements may walk 100 // 4 = 25 subsets, counted over
+    # every term: {2,4,6} has 14 below it, {1,5} 4, {3,6} 12 and {3,5,7} 28.
+    monkeypatch.setattr(icn_modules, "MAX_ORACLE_WALK", 100)
+    assert dim_submodule_oracle(parse_module_vector("1:{2,4,6};1:{1,5}", 8)) == 14 + 4
+    for text in ["1:{3,5,7}", "1:{2,4,6};1:{3,6}"]:
+        with pytest.raises(ValueError, match="^oracle walk exceeds bound 25 subsets of up to 3"):
+            dim_submodule_oracle(parse_module_vector(text, 8))
 
 
 def test_dim_submodule_work_bound(monkeypatch):
