@@ -442,10 +442,17 @@ def test_dim_submodule_oracle_bound(monkeypatch):
     tops = {Subset(16, tuple(range(17 - k, 17))): 1 for k in range(17)}
     assert MAX_ORACLE_WALK // 17 >= 2**16
     assert dim_submodule_oracle(ModuleVector(16, tops)) == 2**16
+    # All 4368 5-subsets of {1..16}: only {12..16} is walked, the others are
+    # skipped as already in its downset.
+    fives = {Subset(16, c): 1 for c in combinations(range(1, 17), 5)}
+    assert dim_submodule_oracle(ModuleVector(16, fives)) == 4368
     # Terms of up to 3 elements may walk 100 // 4 = 25 subsets, counted over
-    # every term: {2,4,6} has 14 below it, {1,5} 4, {3,6} 12 and {3,5,7} 28.
+    # every term walked: {2,4,6} has 14 below it, {1,5} 4, {3,6} 12 and
+    # {3,5,7} 28.  {1,3,5} (5 below) and {2,4,5} (9) lie below {2,4,6} and
+    # are not walked.
     monkeypatch.setattr(icn_modules, "MAX_ORACLE_WALK", 100)
     assert dim_submodule_oracle(parse_module_vector("1:{2,4,6};1:{1,5}", 8)) == 14 + 4
+    assert dim_submodule_oracle(parse_module_vector("1:{1,3,5};1:{2,4,5};1:{2,4,6}", 8)) == 14
     for text in ["1:{3,5,7}", "1:{2,4,6};1:{3,6}"]:
         with pytest.raises(ValueError, match="^oracle walk exceeds bound 25 subsets of up to 3"):
             dim_submodule_oracle(parse_module_vector(text, 8))
