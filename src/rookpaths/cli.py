@@ -8,7 +8,9 @@ big integers are rendered as decimal strings, never floats, at any length.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from decimal import Decimal
 from typing import TextIO
@@ -226,6 +228,13 @@ def _cmd_verify(args):
     return given, {"lhs": lhs, "rhs": rhs, "equal": equal}, [line]
 
 
+# Built on the first run and reused, read-only, for the rest of the process:
+# parse_args makes a new Namespace on every call and leaves the parser as it
+# was, and --help formats its text on each call.  The handlers given to
+# set_defaults and the _FLAGS types are bound once, here; the _ROUTES entries
+# still look names up when called.  Nothing in the tests or the benchmark
+# rebinds a handler or a type.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rookpaths", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -303,7 +312,15 @@ def run(argv: list[str], out: TextIO | None = None, err: TextIO | None = None) -
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head -1`).  Point stdout at
+        # devnull so the flush at exit is silent, and exit 1 with no traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

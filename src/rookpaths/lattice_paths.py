@@ -359,13 +359,17 @@ def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
     Returns (left, right, equal); requires k >= 2.
     """
     int_entries((k,), "identity needs k >= 2", 2)
+    # Each coefficient depends on one index difference d only: C(2(d-1), d)
+    # or C(2d, d), so one table of each, d = 0..k, holds them all.
+    shifted = [0] + [binomial(2 * (d - 1), d) for d in range(1, k + 1)]
+    central = [binomial(2 * d, d) for d in range(k + 1)]
     g = [0, 1]  # 1-indexed; g[i] = gamma_i
     for i in range(2, k):
-        g.append(-sum(binomial(2 * (i - j - 1), i - j) * g[j] for j in range(1, i - 1)))
+        g.append(-sum(shifted[i - j] * g[j] for j in range(1, i - 1)))
     rhs = (
-        sum(binomial(2 * (k - i + 1), k + 1 - i) * g[i] for i in range(1, k))
-        - sum(binomial(2 * (k - i), k + 1 - i) * g[i] for i in range(1, k))
-        - sum(2 * binomial(2 * (k - i - 1), k - i) * g[i] for i in range(1, k - 1))
+        sum(central[k + 1 - i] * g[i] for i in range(1, k))
+        - sum(shifted[k + 1 - i] * g[i] for i in range(1, k))
+        - sum(2 * shifted[k - i] * g[i] for i in range(1, k - 1))
     )
     lhs = catalan(k + 1)
     return lhs, rhs, lhs == rhs

@@ -11,6 +11,7 @@ from rookpaths import (
     ModuleVector,
     PartialInjection,
     Subset,
+    binomial,
     count_below_increasing_determinant,
     dim_principal_iterative,
     subset_leq,
@@ -56,6 +57,19 @@ def incl_excl_literal(s):
         (-1) ** (k - m) * count_below_increasing_determinant(HeightSequence.increasing(t))
         for m in range(1, k + 1)
         for t in combinations(s.elems, m)
+    )
+
+
+def cor35_rhs_literal(k):
+    """The right side of the Catalan staircase identity as the paper writes
+    it, one binomial per term of the gamma recursion and of the three sums."""
+    g = [0, 1]
+    for i in range(2, k):
+        g.append(-sum(binomial(2 * (i - j - 1), i - j) * g[j] for j in range(1, i - 1)))
+    return (
+        sum(binomial(2 * (k - i + 1), k + 1 - i) * g[i] for i in range(1, k))
+        - sum(binomial(2 * (k - i), k + 1 - i) * g[i] for i in range(1, k))
+        - sum(2 * binomial(2 * (k - i - 1), k - i) * g[i] for i in range(1, k - 1))
     )
 
 

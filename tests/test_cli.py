@@ -245,9 +245,14 @@ def test_domain_errors_exit_2():
         assert err
 
 
-def test_main_exits_with_the_code_run_returns():
+def module_env():
+    """The environment for `python -m rookpaths.cli`, importing this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_main_exits_with_the_code_run_returns():
     for argv, code, out in [
         (["paths-count", "--dir", "dec", "--heights", "4,2"], 0, "12\n"),
         (["no-such-command"], 1, ""),
@@ -255,10 +260,24 @@ def test_main_exits_with_the_code_run_returns():
     ]:
         done = subprocess.run(
             [sys.executable, "-m", "rookpaths.cli", *argv], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+            env=module_env(), timeout=60,
         )
         assert (done.returncode, done.stdout) == (code, out), argv
         assert bool(done.stderr) == (code != 0), argv
+
+
+def test_a_closed_pipe_ends_a_listing_quietly():
+    # The listing is ~500 KB, well past a pipe buffer, so the writer meets
+    # the closed pipe while it is still printing.
+    argv = [sys.executable, "-m", "rookpaths.cli", "monoid-list", "--n", "9", "--cap", "100000"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=module_env()
+    ) as proc:
+        assert proc.stdout.readline() == "/\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert (code, err) == (1, "")
 
 
 def test_help_is_written_to_out_and_returns_0():
@@ -426,3 +445,22 @@ def test_check_never_mismatches_on_exhaustive_ranges():
                 ["dim-subset", "--n", "8", "--set", subset, "--method", "determinant", "--check"]
             )
             assert code == 0 and not err, elems
+
+
+def test_one_parser_serves_every_request_as_a_fresh_one_would(off_by_one_oracles):
+    requests = [
+        ["paths-count", "--dir", "up", "--heights", "4,2"],  # usage error
+        ["--help"],
+        ["dim-vector", "--help"],
+        ["paths-count", "--dir", "dec", "--heights", "4,2", "--check"],  # check failed
+        ["paths-count", "--dir", "dec", "--heights", "1,2"],  # domain error
+        ["dim-subset", "--n", "8", "--set", "2,4,6"],
+        ["dim-subset", "--n", "8", "--set", "2,4,6", "--json"],
+    ]
+    fresh = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        fresh.append(invoke(argv))
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 2, 2, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
+    assert [invoke(argv) for argv in requests + requests[::-1]] == fresh + fresh[::-1]

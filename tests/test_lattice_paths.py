@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from conftest import cor35_rhs_literal
 from rookpaths import (
     Direction,
     HeightSequence,
@@ -352,8 +353,10 @@ def test_identity_cor35_values():
 
 
 def test_identity_cor35_range():
-    for k in range(2, 16):
+    # The binomial tables against the literal double sums of the paper.
+    for k in [*range(2, 61), 160]:
         lhs, rhs, equal = verify_identity_cor35(k)
-        assert equal and lhs == rhs == catalan(k + 1)
+        assert equal and lhs == rhs == catalan(k + 1), k
+        assert rhs == cor35_rhs_literal(k), k
     with pytest.raises(ValueError):
         verify_identity_cor35(1)
