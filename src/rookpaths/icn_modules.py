@@ -41,16 +41,18 @@ from .exact_math import (
 from .lattice_paths import (
     Direction,
     HeightSequence,
+    _flat_staircase_count,
     count_below_decreasing_iterative,
     iter_subsets_below,
 )
 from .rook_monoid import PartialInjection, is_order_decreasing, is_order_preserving
 
-# Inclusion-exclusion over S takes O(k^2) binomials of growing size.  At 300
-# elements, the top 300 of {1..3000} took 0.38 s and the staircase {2..600}
-# 0.12 s on CPython 3.11 (2-vCPU VM); the time also grows with the elements
-# themselves (0.95 s for the top 300 of {1..10^6}).
-MAX_INCL_EXCL_SIZE = 300
+# Inclusion-exclusion over a k-subset S takes O(k^2) binomials whose size
+# grows with k and with b, the bit length of the largest element; its work
+# counts k^3 b.  At 10^8 the slowest shapes measured on CPython 3.11 (2-vCPU
+# VM), the top 19 of {1..2^14285} and the top 14 of {1..2^30000}, took about
+# 0.85 s; the top 215 of {1..1000} took 0.11 s.
+MAX_INCL_EXCL_WORK = 100_000_000
 # dim_submodule counts its work in subset elements: k for each meet of two
 # k-subsets it takes and k^2 for each meet whose dimension it sums.  On
 # CPython 3.11 (2-vCPU VM) a unit took 0.35-1.4 us: 100 equal-sum 6-subsets
@@ -238,8 +240,8 @@ def dim_principal_incl_excl(s: Subset) -> int:
     """
     elems = s.elems
     k = len(elems)
-    if k > MAX_INCL_EXCL_SIZE:
-        raise ValueError(f"subset size {k} exceeds bound {MAX_INCL_EXCL_SIZE}")
+    if k**3 * max(elems, default=0).bit_length() > MAX_INCL_EXCL_WORK:
+        raise ValueError(f"subset work k^3 * bit_length(max S) exceeds bound {MAX_INCL_EXCL_WORK}")
     f = [0] * k + [1]  # f[q - 1] is F[q]
     for q in range(k - 1, -1, -1):
         f[q] = -sum(binomial(elems[q] + d, d) * f[q + d] for d in range(1, k + 1 - q))
@@ -295,33 +297,12 @@ def dim_interval_family(m: int, k: int) -> int:
 def dim_mixed_family(k: int, m: int) -> int:
     """Closed form for the staircase-then-interval family, valid for k >= m >= 2.
 
-    Uses the specialized coefficient recursion
-        gamma_1 = 1, gamma_2 = ... = gamma_{k-m+2} = 0, gamma_{k-m+3} = -1,
-        gamma_i = -C(m-k+2i-4, i-1)
-                  - sum(C(2(i-j-1), i-j) * gamma_j, j = k-m+3..i-2)
-    for i >= k-m+4.
+    Its heights are (m repeated k - m + 1 times, then m - 1, ..., 1), the
+    boundary whose specialized recursion also gives the Catalan staircase
+    (m = k) of verify_identity_cor35; see _flat_staircase_count.
     """
     _mixed_params(k, m)
-    g = [0] * (k + 1)  # 1-indexed
-    g[1] = 1
-    for i in range(2, k):
-        if i <= k - m + 2:
-            g[i] = 0
-        elif i == k - m + 3:
-            g[i] = -1
-        else:
-            g[i] = -binomial(m - k + 2 * i - 4, i - 1) - sum(
-                binomial(2 * (i - j - 1), i - j) * g[j] for j in range(k - m + 3, i - 1)
-            )
-    total = (
-        binomial(m + k, k)
-        - binomial(m + k - 2, k)
-        - 2 * binomial(m + k - 4, k - 1)
-    )
-    total += sum(binomial(2 * (k - i + 1), k + 1 - i) * g[i] for i in range(k - m + 3, k))
-    total -= sum(binomial(2 * (k - i), k + 1 - i) * g[i] for i in range(k - m + 3, k))
-    total -= sum(2 * binomial(2 * (k - i - 1), k - i) * g[i] for i in range(k - m + 3, k - 1))
-    return total
+    return _flat_staircase_count(k, m)
 
 
 def dim_submodule(v: ModuleVector) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterator, NamedTuple
 
 from .exact_math import IntMatrix, binomial, catalan, det_exact, first_items, int_entries, trusted
@@ -23,6 +23,12 @@ from .exact_math import IntMatrix, binomial, catalan, det_exact, first_items, in
 # 10^7 cells the slowest shapes measured on CPython 3.11 took about 2.3 s (a
 # staircase) and 245 MB (two equal heights).
 MAX_ORACLE_CELLS = 10_000_000
+# The staircase recursion of mixed family (k, m) takes m^2 products of
+# O(m b)-bit integers, b the bit length of k, by O(m)-bit table entries, and
+# m steps that multiply and divide such integers by b-bit ones: m^2 b (m + b)
+# in all.  At 1.2 * 10^10 the slowest shapes measured on CPython 3.11 took
+# about 0.85 s (k = 10^6..10^12) and the Catalan staircase k = m = 1025 0.47 s.
+MAX_STAIRCASE_WORK = 12_000_000_000
 
 
 class Direction(Enum):
@@ -354,22 +360,39 @@ def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
     """Evaluate both sides of the staircase identity for the Catalan number.
 
     The left side is c_{k+1}; the right side specializes the iterative count
-    to the staircase (k, k-1, ..., 1), with its own coefficient recursion
-    gamma_1 = 1, gamma_i = -sum(C(2(i-j-1), i-j) * gamma_j, j = 1..i-2).
-    Returns (left, right, equal); requires k >= 2.
+    to the staircase (k, k-1, ..., 1), the mixed family's boundary at m = k
+    (see _flat_staircase_count).  Returns (left, right, equal); requires k >= 2.
     """
     int_entries((k,), "identity needs k >= 2", 2)
-    # Each coefficient depends on one index difference d only: C(2(d-1), d)
-    # or C(2d, d), so one table of each, d = 0..k, holds them all.
-    shifted = [0] + [binomial(2 * (d - 1), d) for d in range(1, k + 1)]
-    central = [binomial(2 * d, d) for d in range(k + 1)]
-    g = [0, 1]  # 1-indexed; g[i] = gamma_i
-    for i in range(2, k):
-        g.append(-sum(shifted[i - j] * g[j] for j in range(1, i - 1)))
-    rhs = (
-        sum(central[k + 1 - i] * g[i] for i in range(1, k))
-        - sum(shifted[k + 1 - i] * g[i] for i in range(1, k))
-        - sum(2 * shifted[k - i] * g[i] for i in range(1, k - 1))
-    )
+    rhs = _flat_staircase_count(k, k)
     lhs = catalan(k + 1)
     return lhs, rhs, lhs == rhs
+
+
+def _flat_staircase_count(k: int, m: int) -> int:
+    """Paths below lam = (m repeated k-m+1 times, then m-1, ..., 1), for
+    k >= m >= 2 (the callers check this): with the coefficients gamma_1 = 1,
+    gamma_2 = ... = gamma_{k-m+2} = 0 and, for k-m+3 <= i < k,
+        gamma_i = -C(m-k+2i-4, i-1) - sum(C(2(i-j-1), i-j) gamma_j, j = k-m+3..i-2),
+    the iterative count is C(m+k, k) - C(m+k-2, k) - 2 C(m+k-4, k-1) plus
+        sum([C(2(k+1-i), k+1-i) - C(2(k-i), k+1-i) - 2 C(2(k-i-1), k-i)] gamma_i, i < k).
+    Every coefficient but C(m-k+2i-4, i-1), walked along i, depends on one
+    index difference d <= m, so one table of C(2d, d) holds them all.
+    """
+    b = k.bit_length()
+    if m * m * b * (m + b) > MAX_STAIRCASE_WORK:
+        raise ValueError(f"staircase work m^2 b (m + b), b = bit_length(k), exceeds bound "
+                         f"{MAX_STAIRCASE_WORK}")
+    a = k - m + 2
+    central = [binomial(2 * d, d) for d in range(m + 1)]
+    shifted = [0] + [central[d - 1] * (d - 1) // d for d in range(1, m + 1)]  # C(2d-2, d)
+    g = []  # g[t] = gamma_{a+1+t}
+    lead = 1  # C(a + 2t, t) = C(m-k+2i-4, i-1)
+    for t in range(m - 3):
+        g.append(-lead - sum(map(mul, shifted[t:1:-1], g)))
+        lead = lead * (a + 2 * t + 1) * (a + 2 * t + 2) // ((t + 1) * (a + t + 1))
+    return (
+        binomial(m + k, k) - binomial(m + k - 2, k) - 2 * binomial(m + k - 4, k - 1)
+        + sum((central[d] - shifted[d] - 2 * shifted[d - 1]) * gamma
+              for d, gamma in zip(range(m - 2, 1, -1), g))
+    )

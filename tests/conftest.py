@@ -73,6 +73,32 @@ def cor35_rhs_literal(k):
     )
 
 
+def mixed_family_literal(k, m):
+    """dim <v_{2,4,...,2m,2m+1,...,m+k}> as the paper writes it for k >= m >= 2:
+    one binomial per term of the specialized gamma recursion and of the three
+    sums, with gamma_1..gamma_k in one list."""
+    g = [0] * (k + 1)  # 1-indexed
+    g[1] = 1
+    for i in range(2, k):
+        if i <= k - m + 2:
+            g[i] = 0
+        elif i == k - m + 3:
+            g[i] = -1
+        else:
+            g[i] = -binomial(m - k + 2 * i - 4, i - 1) - sum(
+                binomial(2 * (i - j - 1), i - j) * g[j] for j in range(k - m + 3, i - 1)
+            )
+    total = (
+        binomial(m + k, k)
+        - binomial(m + k - 2, k)
+        - 2 * binomial(m + k - 4, k - 1)
+    )
+    total += sum(binomial(2 * (k - i + 1), k + 1 - i) * g[i] for i in range(k - m + 3, k))
+    total -= sum(binomial(2 * (k - i), k + 1 - i) * g[i] for i in range(k - m + 3, k))
+    total -= sum(2 * binomial(2 * (k - i - 1), k - i) * g[i] for i in range(k - m + 3, k - 1))
+    return total
+
+
 def reduced_support_literal(v):
     """The maximal subsets of the support of v, each term compared with
     every other one."""

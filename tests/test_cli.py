@@ -238,6 +238,11 @@ def test_domain_errors_exit_2():
         ["monoid-size", "--n", "99"],
         ["monoid-compose", "--n", "3", "--f", "1 1 / 1 2", "--g", "/"],
         ["verify", "--identity", "cor35", "--k", "1"],
+        # Over the staircase recursion's work bound.
+        ["verify", "--identity", "cor35", "--k", "100000"],
+        # Over the inclusion-exclusion work bound: the top 300 of {1..10^100}.
+        ["dim-subset", "--n", str(10**100), "--method", "determinant",
+         "--set", ",".join(map(str, range(10**100 - 299, 10**100 + 1)))],
         ["verify", "--identity", "cor34", "--heights", "3"],
     ]:
         code, _, err = invoke(argv)

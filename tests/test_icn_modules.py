@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
 from conftest import (
     incl_excl_literal,
     independent_antichain,
+    mixed_family_literal,
     random_module_vector,
 )
 from rookpaths import (
@@ -41,7 +42,8 @@ from rookpaths import (
     zero_vector,
 )
 from rookpaths import icn_modules
-from rookpaths.icn_modules import MAX_INCL_EXCL_SIZE, MAX_ORACLE_WALK, MAX_SUBMODULE_WORK
+from rookpaths.icn_modules import MAX_INCL_EXCL_WORK, MAX_ORACLE_WALK, MAX_SUBMODULE_WORK
+from rookpaths.lattice_paths import MAX_STAIRCASE_WORK
 
 SIGMA = PartialInjection(4, ((1, 1), (3, 2), (4, 3)))
 
@@ -330,9 +332,13 @@ def test_dim_principal_examples():
 
 
 def test_dim_principal_incl_excl_bound():
-    k = MAX_INCL_EXCL_SIZE + 1
-    with pytest.raises(ValueError, match=f"bound {MAX_INCL_EXCL_SIZE}"):
-        dim_principal_incl_excl(Subset(k, tuple(range(1, k + 1))))
+    # The work k^3 * bit_length(max S): {1..k} just past the bound, and the
+    # top 300 of {1..10^100} far past it (65 s under the former size bound).
+    k = next(k for k in count(1) if k**3 * k.bit_length() > MAX_INCL_EXCL_WORK)
+    for s in (Subset(k, tuple(range(1, k + 1))),
+              Subset(10**100, tuple(range(10**100 - 299, 10**100 + 1)))):
+        with pytest.raises(ValueError, match=f"bound {MAX_INCL_EXCL_WORK}"):
+            dim_principal_incl_excl(s)
     # 21 elements, past the bound of the former sum over all 2^k subsets.
     for s in (Subset(25, tuple(range(1, 22))), Subset(41, tuple(range(1, 42, 2)))):
         assert dim_principal_incl_excl(s) == dim_principal_iterative(s)
@@ -414,6 +420,34 @@ def test_mixed_family_matches_brute_force():
             assert dim_mixed_family(k, m) == len(downset(s))
     for k in range(2, 7):
         assert dim_mixed_family(k, k) == dim_catalan_family(k)
+
+
+def test_mixed_family_matches_the_literal_recursion_and_the_iterative_count():
+    for k in range(2, 61):
+        for m in range(2, k + 1):
+            assert dim_mixed_family(k, m) == mixed_family_literal(k, m), (k, m)
+    for m in (2, 80, 159, 160):
+        assert dim_mixed_family(160, m) == mixed_family_literal(160, m), m
+    # The general route shares no code with the specialized recursion.
+    for k in range(2, 26):
+        for m in range(2, k + 1):
+            assert dim_mixed_family(k, m) == dim_principal_iterative(mixed_family_subset(k, m))
+
+
+def test_mixed_family_cost_follows_m():
+    def work(k, m):  # m^2 b (m + b), b the bit length of k
+        b = k.bit_length()
+        return m * m * b * (m + b)
+
+    # m = 2 takes no recursion step: C(k+2, 2) - 1 for any k.
+    assert dim_mixed_family(10**9, 2) == (10**9 + 1) * (10**9 + 2) // 2 - 1
+    # The Catalan staircase just past the bound, and m = 400 far past it
+    # once k has 333 bits.
+    k = next(k for k in count(2) if work(k, k) > MAX_STAIRCASE_WORK)
+    assert work(10**100, 400) > MAX_STAIRCASE_WORK
+    for k, m in [(k, k), (10**100, 400)]:
+        with pytest.raises(ValueError, match=f"bound {MAX_STAIRCASE_WORK}"):
+            dim_mixed_family(k, m)
 
 
 def test_dim_submodule_examples():
