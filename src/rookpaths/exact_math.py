@@ -12,6 +12,15 @@ from itertools import islice
 
 # An input echoed in an error message is clipped to this many characters.
 ECHO_CHARS = 20
+# hockey_stick_sides walks s = a + b - max(a, p) summands and takes three
+# binomials, which cost about r = min(p + 1, a + b - p - 1) steps each.  A
+# step multiplies or divides a number of at most B = min(a + b, r
+# (bit_length(a + b) - bit_length(r) + 3)) bits, the bit length bound of
+# C(a + b, p + 1), by one of D = ceil(bit_length(a + b) / 30) digits, plus a
+# fixed cost worth about 500 bits: (s + r)(B + 500)D in all.  At 3 * 10^9
+# the slowest shapes measured on CPython 3.11 took about 1.1 s (a = 10^12,
+# p = 1000) and the central walk a = 0, p = b / 2 about 0.36 s.
+MAX_HOCKEY_WORK = 3_000_000_000
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,13 +42,25 @@ def catalan(n: int) -> int:
 def hockey_stick_sides(a: int, b: int, p: int) -> tuple[int, int]:
     """Evaluate both sides of sum(C(z, p), z = a..a+b-1) = C(a+b, p+1) - C(a, p+1).
 
-    Returns ``(left, right)`` where the left side is computed as an explicit
-    sum (empty when b = 0) and the right side from two binomials.  Their
-    equality is a tested property, never an assumption.
+    Returns ``(left, right)`` where the left side walks the summands (an
+    empty sum when b = 0) by C(z + 1, p) = C(z, p) (z + 1) / (z + 1 - p) from
+    the first nonzero one, and the right side takes two binomials.  Their
+    equality is a tested property, never an assumption.  Inputs whose work
+    (s + r)(B + 500)D exceeds MAX_HOCKEY_WORK (see there) are refused first.
     """
     int_entries((a, b, p), "hockey_stick_sides arguments must be nonnegative", 0)
-    left = sum(binomial(z, p) for z in range(a, a + b))
-    right = binomial(a + b, p + 1) - binomial(a, p + 1)
+    n = a + b
+    start = max(a, p)
+    s = max(0, n - start)
+    r = max(0, min(p + 1, n - p - 1))
+    bits = min(n, r * (n.bit_length() - r.bit_length() + 3))
+    if (s + r) * (bits + 500) * -(-n.bit_length() // 30) > MAX_HOCKEY_WORK:
+        raise ValueError(f"hockey-stick work (s + r)(B + 500)D exceeds bound {MAX_HOCKEY_WORK}")
+    left, term = 0, binomial(start, p)
+    for z in range(start + 1, n + 1):
+        left += term
+        term = term * z // (z - p)
+    right = binomial(n, p + 1) - binomial(a, p + 1)
     return left, right
 
 
@@ -155,17 +176,29 @@ class IntMatrix:
 def det_exact(m: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
+    Step k turns each entry below and right of the pivot P_k into
+    (a[i][j] P_k - a[i][k] a[k][j]) / P_(k-1), an exact division, with
+    P_(-1) = 1.  Where the pivot row's a[k][j] is 0, that only multiplies
+    column j by P_k / P_(k-1), and these factors telescope.  So a column
+    stays stale while its pivot-row entries are 0.  It is brought up to
+    date, times P_(k-1) / P_(s-1) if it was last updated at step s, in one
+    multiply and one exact divide per entry, only when its pivot-row entry
+    is nonzero or it becomes the pivot column.  A row swap keeps this valid,
+    since the rows >= k of a column share one scale.  The last pivot, signed
+    by the swaps, is the determinant.  The work is O(n^2) big-int steps when
+    the pivot rows are zero past the superdiagonal, as in a lower Hessenberg
+    matrix, and O(n^3) when they are dense.
+
     The 0x0 matrix has determinant 1 (empty product).
     """
     if not m.is_square():
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    if n == 0:
-        return 1
     a = [list(row) for row in m.entries]
+    pivots = [1]  # pivots[t] = P_(t-1)
+    since = [0] * n  # column j's rows >= k hold their values at step since[j]
     sign = 1
-    prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -174,11 +207,23 @@ def det_exact(m: IntMatrix) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update; the division by the previous pivot is exact.
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+        prev = pivots[k]
+        rows = a[k:]
+        pivot_row, *below = rows
+        for j in range(k, n):
+            top = pivot_row[j]
+            if top == 0:
+                continue  # the update would only scale column j by P_k / P_(k-1)
+            if since[j] < k:
+                lag = pivots[since[j]]
+                for row in rows:
+                    row[j] = row[j] * prev // lag
+                top = pivot_row[j]
+            if j == k:
+                pivot = top
+                continue
+            for row in below:
+                row[j] = (row[j] * pivot - row[k] * top) // prev
+            since[j] = k + 1
+        pivots.append(pivot)
+    return sign * pivots[-1]

@@ -340,17 +340,18 @@ def verify_identity_cor34(lam: HeightSequence) -> tuple[int, int, bool]:
 
     The left side is det C(h_i + 1, i - j + 1), taken literally by Bareiss
     elimination so that it shares no code with the determinant route; the
-    right side is the iterative count of paths below lam.  Returns (left,
-    right, equal).
+    matrix is lower Hessenberg, so the elimination takes O(k^2) big-int
+    steps.  The right side is the iterative count of paths below lam.
+    Returns (left, right, equal).
     """
     _require_direction(lam, Direction.DECREASING, "determinant identity")
     h = lam.heights
     k = len(h)
     if k < 2:
         raise ValueError(f"identity needs length >= 2, got {k}")
-    m = IntMatrix(
-        tuple(tuple(binomial(h[i] + 1, i - j + 1) for j in range(k)) for i in range(k))
-    )
+    m = trusted(IntMatrix, tuple(
+        tuple(binomial(h[i] + 1, i - j + 1) for j in range(k)) for i in range(k)
+    ))
     det_side = det_exact(m)
     iter_side = count_below_decreasing_iterative(lam)
     return det_side, iter_side, det_side == iter_side

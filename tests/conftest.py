@@ -49,6 +49,54 @@ def random_module_vector(rng, max_n=10, max_terms=6):
     return ModuleVector(n, terms)
 
 
+def det_cofactor(rows):
+    """Determinant by first-row expansion, independent of Bareiss."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            total += (-1) ** j * entry * det_cofactor(minor)
+    return total
+
+
+def det_bareiss_eager(rows):
+    """Determinant by Bareiss elimination that updates every entry below and
+    right of the pivot at every step, zero pivot-row entries included."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss update; the division by the previous pivot is exact.
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def hockey_left_literal(a, b, p):
+    """The left side of the hockey-stick identity, one binomial per summand."""
+    return sum(binomial(z, p) for z in range(a, a + b))
+
+
 def incl_excl_literal(s):
     """dim <v_S> by the paper's inclusion-exclusion, term by term: the signed
     determinant count of every nonempty T inside S, and 1 for the empty T."""

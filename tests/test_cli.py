@@ -244,6 +244,9 @@ def test_domain_errors_exit_2():
         ["dim-subset", "--n", str(10**100), "--method", "determinant",
          "--set", ",".join(map(str, range(10**100 - 299, 10**100 + 1)))],
         ["verify", "--identity", "cor34", "--heights", "3"],
+        # Over the hockey-stick work bound: 10^7 summands, and C(10^6, 5 * 10^5).
+        ["verify", "--identity", "hockey", "--a", "0", "--b", "10000000", "--p", "0"],
+        ["verify", "--identity", "hockey", "--a", "1000000", "--b", "1", "--p", "500000"],
     ]:
         code, _, err = invoke(argv)
         assert code == 2, argv

@@ -1,23 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
+from conftest import det_bareiss_eager, det_cofactor, hockey_left_literal
 from rookpaths import IntMatrix, binomial, catalan, det_exact, hockey_stick_sides
-
-
-def det_cofactor(rows):
-    # Reference determinant by first-row expansion, independent of Bareiss.
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j, entry in enumerate(rows[0]):
-        if entry:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * entry * det_cofactor(minor)
-    return total
+from rookpaths.exact_math import MAX_HOCKEY_WORK
 
 
 def test_binomial_small_cases():
@@ -79,12 +67,61 @@ def test_det_exact_singular_and_pivoting():
     assert det_exact(IntMatrix(((0, 0, 1), (0, 1, 0), (1, 0, 0)))) == -1
 
 
+def random_shaped_rows(rng, n):
+    """An n x n matrix with entries in -4..4, of one shape drawn at random
+    (dense, lower or upper Hessenberg, or banded), and a density, also
+    drawn, for its nonzeros."""
+    shape = rng.choice(["dense", "lower", "upper", "band"])
+    lo, hi = {"dense": (n, n), "lower": (n, 1), "upper": (1, n)}.get(
+        shape, (rng.randint(0, 2), rng.randint(0, 2)))
+    density = rng.random()
+    return [[rng.randint(-4, 4) if -lo <= j - i <= hi and rng.random() < density else 0
+             for j in range(n)] for i in range(n)]
+
+
 def test_det_exact_matches_cofactor_reference():
     rng = random.Random(20240601)
     for _ in range(1000):
         n = rng.randint(0, 6)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert det_exact(IntMatrix(tuple(map(tuple, rows)))) == det_cofactor(rows)
+    rng = random.Random(1968)
+    for _ in range(3000):
+        rows = random_shaped_rows(rng, rng.randint(0, 7))
+        expected = det_cofactor(rows)
+        assert det_bareiss_eager(rows) == expected, rows
+        assert det_exact(IntMatrix(tuple(map(tuple, rows)))) == expected, rows
+
+
+def test_det_exact_swaps_rows_under_stale_columns():
+    # Step 0 leaves columns 2 and 3 stale (row 0 is zero there) with pivot 2
+    # and zeroes a[1][1], so step 1 swaps rows 1 and 2 under them; the last
+    # case swaps again at step 2 with column 3 still stale.
+    for rows in [
+        [[2, 2, 0, 0], [3, 3, 0, 2], [0, 3, 2, 0], [2, 0, 5, 1]],
+        [[3, 1, 0, 0], [6, 2, 0, 1], [1, 0, 4, 7], [2, 5, 1, 3]],
+        [[2, 1, 0, 0, 0], [4, 2, 0, 0, 3], [1, 1, 0, 0, 1], [5, 0, 2, 0, 1], [1, 3, 0, 4, 2]],
+    ]:
+        expected = det_cofactor(rows)
+        assert expected != 0
+        assert det_exact(IntMatrix(tuple(map(tuple, rows)))) == expected == det_bareiss_eager(rows)
+
+
+def test_det_exact_zero_rows_columns_and_singular():
+    rng = random.Random(6)
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        rows = random_shaped_rows(rng, n)
+        i = rng.randrange(n)
+        kind = rng.choice(["row", "col", "repeat"])
+        for j in range(n):
+            if kind == "row":
+                rows[i][j] = 0
+            elif kind == "col":
+                rows[j][i] = 0
+            else:
+                rows[i][j] = rows[(i + 1) % n][j] * 2 if n > 1 else 0
+        assert det_exact(IntMatrix(tuple(map(tuple, rows)))) == 0 == det_cofactor(rows), rows
 
 
 def test_int_matrix_validation():
@@ -109,11 +146,24 @@ def test_hockey_stick_examples():
 
 
 def test_hockey_stick_sides_agree_everywhere():
-    for a in range(13):
-        for b in range(13):
-            for p in range(13):
-                left, right = hockey_stick_sides(a, b, p)
-                assert left == right
+    # The walk against the literal sum, also past the first nonzero summand
+    # (a < p), from a huge a, and across the middle of a row.
+    more = [(0, 40, 3), (5, 30, 17), (17, 30, 5), (30, 1, 29), (3, 50, 60), (10**30, 25, 4),
+            (0, 200, 100)]
+    for a, b, p in [*product(range(13), repeat=3), *more]:
+        left, right = hockey_stick_sides(a, b, p)
+        assert left == right == hockey_left_literal(a, b, p), (a, b, p)
+
+
+def test_hockey_stick_refuses_work_over_its_bound():
+    # A huge b with small p, a huge a + b with p near the middle, and a
+    # huge a with many summands: each refused before any binomial is taken.
+    for a, b, p in [(0, 10**7, 0), (10**6, 1, 5 * 10**5), (10**100, 10**5, 10), (0, 10**100, 1)]:
+        with pytest.raises(ValueError, match=f"bound {MAX_HOCKEY_WORK}"):
+            hockey_stick_sides(a, b, p)
+    # The central walk at b = 20000 answers; p past a + b costs nothing.
+    assert hockey_stick_sides(0, 20000, 10000)[0] == binomial(20000, 10001)
+    assert hockey_stick_sides(10**100, 10**100, 3 * 10**100) == (0, 0)
 
 
 def test_hockey_stick_rejects_negative():

@@ -346,6 +346,25 @@ def test_identity_cor34_exhaustive():
             assert det_side == count_below_increasing_determinant(lam.mirror())
 
 
+def test_cor34_matrix_determinant_matches_the_oracle():
+    # Bareiss on the lower Hessenberg matrix C(h_i + 1, i - j + 1) itself,
+    # against the DP count, for boundaries up to length 60.
+    rng = random.Random(34)
+    for _ in range(120):
+        k = rng.randint(1, 60)
+        h = sorted((rng.randint(0, 60) for _ in range(k)), reverse=True)
+        matrix = IntMatrix(
+            tuple(tuple(binomial(h[i] + 1, i - j + 1) for j in range(k)) for i in range(k))
+        )
+        assert det_exact(matrix) == count_below_oracle(dec(h)), h
+
+
+def test_identity_cor34_on_the_staircase_of_length_300():
+    # The Catalan staircase (300, 299, ..., 1), of c_301 paths; about 0.3 s.
+    c = catalan(301)
+    assert verify_identity_cor34(dec(range(300, 0, -1))) == (c, c, True)
+
+
 def test_identity_cor35_values():
     assert verify_identity_cor35(2) == (5, 5, True)
     assert verify_identity_cor35(3) == (14, 14, True)

@@ -10,13 +10,20 @@ from itertools import combinations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dim_submodule_literal, reduced_support_literal
+from conftest import (
+    det_bareiss_eager,
+    det_cofactor,
+    dim_submodule_literal,
+    reduced_support_literal,
+)
 from rookpaths import (
     HeightSequence,
+    IntMatrix,
     ModuleVector,
     Subset,
     count_below_increasing_determinant,
     count_below_oracle,
+    det_exact,
     dim_principal_incl_excl,
     dim_submodule,
     dim_submodule_oracle,
@@ -63,6 +70,22 @@ def module_vectors(draw):
     n = draw(st.integers(1, 8))
     subsets = st.sets(st.integers(1, n)).map(lambda elems: Subset(n, tuple(sorted(elems))))
     return ModuleVector(n, draw(st.dictionaries(subsets, coefficients, max_size=12)))
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix, n <= 7, with entries in -3..3 and a share of zeros
+    drawn per matrix, from 1/7 to 25/31 of them."""
+    n = draw(st.integers(0, 7))
+    entries = st.sampled_from((0,) * draw(st.integers(0, 24)) + tuple(range(-3, 4)))
+    row = st.lists(entries, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@given(square_matrices())
+def test_lazy_bareiss_matches_the_eager_one_and_the_cofactor_expansion(rows):
+    expected = det_cofactor(rows)
+    assert det_exact(IntMatrix(tuple(map(tuple, rows)))) == det_bareiss_eager(rows) == expected
 
 
 @given(increasing_boundaries)
