@@ -59,6 +59,11 @@ MAX_INCL_EXCL_WORK = 100_000_000
 # of {1..30} came to 0.92M units and 1.2 s.  Past ~100 elements a dimension
 # costs more than k^2 units, as dim_principal_iterative's binomials grow.
 MAX_SUBMODULE_WORK = 1_000_000
+# reduced_support charges each term its size times the maxima kept before
+# it, the subset elements it may compare, before comparing.  On CPython 3.11
+# (2-vCPU VM) the 1000-term antichain {i, 2001 - i} came to 0.999M units
+# and 0.74 s through `reduce`; a 4000-term one is refused in 0.7-0.8 s.
+MAX_REDUCE_WORK = 1_000_000
 # A walked k-subset costs k + 1 units; 5M took 0.5-1.2 s, 90-160 MB on CPython 3.11.
 MAX_ORACLE_WALK = 5_000_000
 
@@ -183,9 +188,14 @@ def reduced_support(v: ModuleVector) -> frozenset[Subset]:
     """Maximal subsets of the support, an antichain; equal antichains mean
     equal submodules.  A subset lies only below subsets of its size that come
     later in lexicographic order, so in descending (size, elements) order a
-    term need only be compared with the maximal terms kept before it."""
+    term need only be compared with the maximal terms kept before it.  That
+    work is checked against MAX_REDUCE_WORK before each term is compared."""
     kept: list[Subset] = []
+    work = 0
     for s in sorted(v.terms, key=_subset_sort_key, reverse=True):
+        work += len(s) * len(kept)
+        if work > MAX_REDUCE_WORK:
+            raise ValueError(f"reduced-support work exceeds bound {MAX_REDUCE_WORK}")
         if not any(subset_leq(s, t) for t in kept):
             kept.append(s)
     return frozenset(kept)
@@ -299,7 +309,8 @@ def dim_mixed_family(k: int, m: int) -> int:
 
     Its heights are (m repeated k - m + 1 times, then m - 1, ..., 1), the
     boundary whose specialized recursion also gives the Catalan staircase
-    (m = k) of verify_identity_cor35; see _flat_staircase_count.
+    (m = k) of verify_identity_cor35; _flat_staircase_count evaluates the
+    folded iterative count (see count_below_decreasing_iterative) on it.
     """
     _mixed_params(k, m)
     return _flat_staircase_count(k, m)

@@ -27,7 +27,7 @@ MAX_ORACLE_CELLS = 10_000_000
 # O(m b)-bit integers, b the bit length of k, by O(m)-bit table entries, and
 # m steps that multiply and divide such integers by b-bit ones: m^2 b (m + b)
 # in all.  At 1.2 * 10^10 the slowest shapes measured on CPython 3.11 took
-# about 0.85 s (k = 10^6..10^12) and the Catalan staircase k = m = 1025 0.47 s.
+# about 0.85 s (k = 10^6..10^12) and the Catalan staircase k = m = 1025 0.35 s.
 MAX_STAIRCASE_WORK = 12_000_000_000
 
 
@@ -199,46 +199,34 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
     """
     _require_direction(lam, Direction.DECREASING, "compute_gammas")
     h = lam.heights
-    gammas: list[int] = []
-    for j in range(1, len(h) + 1):
-        if j == 1:
-            gammas.append(1)
-            continue
-        total = sum(
+    gammas = [1]
+    for j in range(2, len(h) + 1):
+        gammas.append(-sum(
             binomial(h[i - 1] - h[j - 2] + j - i - 1, j - i) * gammas[i - 1]
             for i in range(1, j - 1)
-        )
-        gammas.append(-total)
+        ))
     return tuple(gammas)
 
 
 def count_below_decreasing_iterative(lam: HeightSequence) -> int:
     """Number of decreasing lattice paths below lam, by the iterative formula.
 
-    Length 1 is the direct count h_1 + 1; for k >= 2 the count is
-
+    The paper's count for k >= 2,
         sum_{i<k} [C(h_i+k-i+1, k+1-i) - C(h_i-h_k+k-i, k+1-i)] * gamma_i
-        - sum_{i<k-1} (h_k+1) * C(h_i-h_{k-1}+k-i-1, k-i) * gamma_i.
+        - sum_{i<k-1} (h_k+1) * C(h_i-h_{k-1}+k-i-1, k-i) * gamma_i,
+    folds by the gamma recursion: the last sum is -(h_k+1) gamma_k, and the
+    subtracted half of the first is -gamma_{k+1}, which reads h_1..h_k only,
+    so it is the last coefficient of lam with h_k repeated.  Hence
+        count = (h_k+1) gamma_k + gamma_{k+1} + sum_{i<k} C(h_i+k-i+1, k+1-i) gamma_i,
+    which is also the direct count h_1 + 1 at k = 1, where gamma_2 = 0.
     """
     _require_direction(lam, Direction.DECREASING, "iterative count")
     h = lam.heights
     k = len(h)
-    if k == 1:
-        return h[0] + 1
-    g = compute_gammas(lam)
-    first = sum(
-        (
-            binomial(h[i - 1] + k - i + 1, k + 1 - i)
-            - binomial(h[i - 1] - h[k - 1] + k - i, k + 1 - i)
-        )
-        * g[i - 1]
-        for i in range(1, k)
+    g = compute_gammas(trusted(HeightSequence, Direction.DECREASING, h + h[-1:]))
+    return (h[-1] + 1) * g[k - 1] + g[k] + sum(
+        binomial(h[i - 1] + k - i + 1, k + 1 - i) * g[i - 1] for i in range(1, k)
     )
-    second = sum(
-        (h[k - 1] + 1) * binomial(h[i - 1] - h[k - 2] + k - i - 1, k - i) * g[i - 1]
-        for i in range(1, k - 1)
-    )
-    return first - second
 
 
 def count_below_increasing_determinant(a: HeightSequence) -> int:
@@ -360,9 +348,10 @@ def verify_identity_cor34(lam: HeightSequence) -> tuple[int, int, bool]:
 def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
     """Evaluate both sides of the staircase identity for the Catalan number.
 
-    The left side is c_{k+1}; the right side specializes the iterative count
-    to the staircase (k, k-1, ..., 1), the mixed family's boundary at m = k
-    (see _flat_staircase_count).  Returns (left, right, equal); requires k >= 2.
+    The left side is c_{k+1}; the right side is the folded iterative count
+    (see count_below_decreasing_iterative) on the staircase (k, k-1, ..., 1),
+    the mixed family's boundary at m = k, by _flat_staircase_count.  Returns
+    (left, right, equal); requires k >= 2.
     """
     int_entries((k,), "identity needs k >= 2", 2)
     rhs = _flat_staircase_count(k, k)
@@ -373,27 +362,23 @@ def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
 def _flat_staircase_count(k: int, m: int) -> int:
     """Paths below lam = (m repeated k-m+1 times, then m-1, ..., 1), for
     k >= m >= 2 (the callers check this): with the coefficients gamma_1 = 1,
-    gamma_2 = ... = gamma_{k-m+2} = 0 and, for k-m+3 <= i < k,
+    gamma_2 = ... = gamma_{k-m+2} = 0 and, for k-m+3 <= i <= k+1,
         gamma_i = -C(m-k+2i-4, i-1) - sum(C(2(i-j-1), i-j) gamma_j, j = k-m+3..i-2),
-    the iterative count is C(m+k, k) - C(m+k-2, k) - 2 C(m+k-4, k-1) plus
-        sum([C(2(k+1-i), k+1-i) - C(2(k-i), k+1-i) - 2 C(2(k-i-1), k-i)] gamma_i, i < k).
+    the folded iterative count (see count_below_decreasing_iterative) is
+        C(m+k, k) + 2 gamma_k + gamma_{k+1} + sum(C(2(k+1-i), k+1-i) gamma_i, i < k).
     Every coefficient but C(m-k+2i-4, i-1), walked along i, depends on one
-    index difference d <= m, so one table of C(2d, d) holds them all.
+    index difference d < m, so one table of C(2d, d) holds them all.
     """
     b = k.bit_length()
     if m * m * b * (m + b) > MAX_STAIRCASE_WORK:
         raise ValueError(f"staircase work m^2 b (m + b), b = bit_length(k), exceeds bound "
                          f"{MAX_STAIRCASE_WORK}")
     a = k - m + 2
-    central = [binomial(2 * d, d) for d in range(m + 1)]
-    shifted = [0] + [central[d - 1] * (d - 1) // d for d in range(1, m + 1)]  # C(2d-2, d)
-    g = []  # g[t] = gamma_{a+1+t}
-    lead = 1  # C(a + 2t, t) = C(m-k+2i-4, i-1)
-    for t in range(m - 3):
-        g.append(-lead - sum(map(mul, shifted[t:1:-1], g)))
+    central = [binomial(2 * d, d) for d in range(m)]
+    shifted = [0] + [central[d - 1] * (d - 1) // d for d in range(1, m)]  # C(2d-2, d)
+    g = [0]  # g[t] = gamma_{a+t}, up to gamma_{k+1}
+    lead = 1  # C(a + 2t, t) = C(m-k+2i-4, i-1) at i = a+1+t
+    for t in range(m - 1):
+        g.append(-lead - sum(map(mul, shifted[t + 1:1:-1], g)))
         lead = lead * (a + 2 * t + 1) * (a + 2 * t + 2) // ((t + 1) * (a + t + 1))
-    return (
-        binomial(m + k, k) - binomial(m + k - 2, k) - 2 * binomial(m + k - 4, k - 1)
-        + sum((central[d] - shifted[d] - 2 * shifted[d - 1]) * gamma
-              for d, gamma in zip(range(m - 2, 1, -1), g))
-    )
+    return binomial(m + k, k) + 2 * g[-2] + g[-1] + sum(map(mul, central[m - 1:1:-1], g))

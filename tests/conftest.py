@@ -108,6 +108,25 @@ def incl_excl_literal(s):
     )
 
 
+def iterative_literal(h):
+    """The number of decreasing paths below the heights h as the paper writes
+    it: h_1 + 1 at length 1, else the gamma recursion and the iterative
+    count's three sums, one binomial per term."""
+    k = len(h)
+    if k == 1:
+        return h[0] + 1
+    g = [0, 1]  # 1-indexed
+    for j in range(2, k):
+        g.append(-sum(binomial(h[i - 1] - h[j - 2] + j - i - 1, j - i) * g[i]
+                      for i in range(1, j - 1)))
+    return (
+        sum(binomial(h[i - 1] + k - i + 1, k + 1 - i) * g[i] for i in range(1, k))
+        - sum(binomial(h[i - 1] - h[k - 1] + k - i, k + 1 - i) * g[i] for i in range(1, k))
+        - sum((h[k - 1] + 1) * binomial(h[i - 1] - h[k - 2] + k - i - 1, k - i) * g[i]
+              for i in range(1, k - 1))
+    )
+
+
 def cor35_rhs_literal(k):
     """The right side of the Catalan staircase identity as the paper writes
     it, one binomial per term of the gamma recursion and of the three sums."""

@@ -247,6 +247,10 @@ def test_domain_errors_exit_2():
         # Over the hockey-stick work bound: 10^7 summands, and C(10^6, 5 * 10^5).
         ["verify", "--identity", "hockey", "--a", "0", "--b", "10000000", "--p", "0"],
         ["verify", "--identity", "hockey", "--a", "1000000", "--b", "1", "--p", "500000"],
+        # Over the reduced-support work bound: the antichain {i, 8001 - i}.
+        *([cmd, "--n", "8000", "--vector",
+           ";".join("1:{%d,%d}" % (i, 8001 - i) for i in range(1, 4001))]
+          for cmd in ("reduce", "dim-vector")),
     ]:
         code, _, err = invoke(argv)
         assert code == 2, argv

@@ -42,7 +42,12 @@ from rookpaths import (
     zero_vector,
 )
 from rookpaths import icn_modules
-from rookpaths.icn_modules import MAX_INCL_EXCL_WORK, MAX_ORACLE_WALK, MAX_SUBMODULE_WORK
+from rookpaths.icn_modules import (
+    MAX_INCL_EXCL_WORK,
+    MAX_ORACLE_WALK,
+    MAX_REDUCE_WORK,
+    MAX_SUBMODULE_WORK,
+)
 from rookpaths.lattice_paths import MAX_STAIRCASE_WORK
 
 SIGMA = PartialInjection(4, ((1, 1), (3, 2), (4, 3)))
@@ -288,6 +293,26 @@ def test_reduced_support_compares_each_term_with_the_kept_maxima_only(monkeypatc
     v = ModuleVector(n, {Subset(n, (e,)): 1 for e in range(1, n + 1)})
     assert reduced_support(v) == {Subset(n, (n,))}
     assert len(calls) < 2 * n
+
+
+def test_reduced_support_work_bound(monkeypatch):
+    # The t terms {i, 2t + 1 - i} form an antichain: the j-th one (from 0) is
+    # compared with the j kept before it, 2j units, t (t - 1) units in all.
+    def antichain(t):
+        return ModuleVector(2 * t, {Subset(2 * t, (i, 2 * t + 1 - i)): 1 for i in range(1, t + 1)})
+
+    assert 1000 * 999 <= MAX_REDUCE_WORK < 1001 * 1000
+    compared = []
+    monkeypatch.setattr(icn_modules, "MAX_REDUCE_WORK", 100)
+    monkeypatch.setattr(
+        icn_modules, "subset_leq", lambda t, s: compared.append(t) or subset_leq(t, s)
+    )
+    assert len(reduced_support(antichain(10))) == 10  # 90 units
+    compared.clear()
+    with pytest.raises(ValueError, match="^reduced-support work exceeds bound 100$"):
+        reduced_support(antichain(11))  # 110 units
+    # The bound holds before the last term is compared, not after.
+    assert 2 * len(compared) == 90
 
 
 def test_submodule_equal():

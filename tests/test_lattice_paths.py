@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from conftest import cor35_rhs_literal
+from conftest import cor35_rhs_literal, mixed_family_literal
 from rookpaths import (
     Direction,
     HeightSequence,
@@ -24,6 +24,7 @@ from rookpaths import (
     verify_identity_cor34,
     verify_identity_cor35,
 )
+from rookpaths.lattice_paths import _flat_staircase_count
 
 dec = HeightSequence.decreasing
 inc = HeightSequence.increasing
@@ -379,3 +380,17 @@ def test_identity_cor35_range():
         assert rhs == cor35_rhs_literal(k), k
     with pytest.raises(ValueError):
         verify_identity_cor35(1)
+
+
+def test_flat_staircase_count_matches_the_literal_sums():
+    # The folded count closes with gamma_k and gamma_{k+1}, read from the
+    # boundary (m repeated k-m+1 times, then m-1, ..., 1) with h_k repeated:
+    # gamma_k = 0 at m = 2 and -1 at m = 3.
+    for k in range(2, 41):
+        for m in range(2, k + 1):
+            assert _flat_staircase_count(k, m) == mixed_family_literal(k, m), (k, m)
+        assert _flat_staircase_count(k, k) == cor35_rhs_literal(k), k
+        for m, gamma_k in [(2, 0), (3, -1)]:
+            if m <= k:
+                lam = dec((m,) * (k - m + 1) + tuple(range(m - 1, 0, -1)) + (1,))
+                assert compute_gammas(lam)[k - 1] == gamma_k, (k, m)

@@ -14,6 +14,7 @@ from conftest import (
     det_bareiss_eager,
     det_cofactor,
     dim_submodule_literal,
+    iterative_literal,
     reduced_support_literal,
 )
 from rookpaths import (
@@ -21,6 +22,7 @@ from rookpaths import (
     IntMatrix,
     ModuleVector,
     Subset,
+    count_below_decreasing_iterative,
     count_below_increasing_determinant,
     count_below_oracle,
     det_exact,
@@ -28,9 +30,13 @@ from rookpaths import (
     dim_submodule,
     dim_submodule_oracle,
     downset,
+    iter_below,
     reduced_support,
 )
 
+decreasing_boundaries = st.lists(st.integers(0, 40), min_size=1, max_size=12).map(
+    lambda heights: HeightSequence.decreasing(sorted(heights, reverse=True))
+)
 increasing_boundaries = st.lists(st.integers(0, 40), min_size=1, max_size=12).map(
     lambda heights: HeightSequence.increasing(sorted(heights))
 )
@@ -86,6 +92,23 @@ def square_matrices(draw):
 def test_lazy_bareiss_matches_the_eager_one_and_the_cofactor_expansion(rows):
     expected = det_cofactor(rows)
     assert det_exact(IntMatrix(tuple(map(tuple, rows)))) == det_bareiss_eager(rows) == expected
+
+
+def test_iterative_route_matches_the_literal_formula_and_the_oracle_exhaustive():
+    # Every decreasing sequence with k <= 6 and top height <= 6.
+    total = 0
+    for k in range(1, 7):
+        for lam in iter_below(HeightSequence.decreasing((6,) * k)):
+            total += 1
+            expected = iterative_literal(lam.heights)
+            assert count_below_decreasing_iterative(lam) == expected == count_below_oracle(lam)
+    assert total == 1715
+
+
+@given(decreasing_boundaries)
+def test_iterative_route_matches_the_literal_formula_and_the_oracle(lam):
+    expected = iterative_literal(lam.heights)
+    assert count_below_decreasing_iterative(lam) == expected == count_below_oracle(lam)
 
 
 @given(increasing_boundaries)
