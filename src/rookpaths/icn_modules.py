@@ -54,10 +54,13 @@ from .rook_monoid import PartialInjection, is_order_decreasing, is_order_preserv
 # 0.85 s; the top 215 of {1..1000} took 0.11 s.
 MAX_INCL_EXCL_WORK = 100_000_000
 # dim_submodule counts its work in subset elements: k for each meet of two
-# k-subsets it takes and k^2 for each meet whose dimension it sums.  On
-# CPython 3.11 (2-vCPU VM) a unit took 0.35-1.4 us: 100 equal-sum 6-subsets
-# of {1..30} came to 0.92M units and 1.2 s.  Past ~100 elements a dimension
-# costs more than k^2 units, as dim_principal_iterative's binomials grow.
+# k-subsets it takes and k^2 for each meet whose dimension it sums, on top of
+# the reduced-support work (below) it spent first, so one budget bounds both.
+# On CPython 3.11 (2-vCPU VM) a unit took 0.35-1.4 us: 100 equal-sum
+# 6-subsets of {1..30} came to 0.92M units and 1.2 s.  A dimension of an even
+# staircase stays near 0.3 us a unit up to 500 elements, as the gamma
+# recursion walks its rows; a random k-subset of {1..3k}, whose drops of 3 or
+# more take rows afresh, costs 0.8 us at 150 elements and 2.9 us at 500.
 MAX_SUBMODULE_WORK = 1_000_000
 # reduced_support charges each term its size times the maxima kept before
 # it, the subset elements it may compare, before comparing.  On CPython 3.11
@@ -186,10 +189,17 @@ def act(f: PartialInjection, v: ModuleVector) -> ModuleVector:
 
 def reduced_support(v: ModuleVector) -> frozenset[Subset]:
     """Maximal subsets of the support, an antichain; equal antichains mean
-    equal submodules.  A subset lies only below subsets of its size that come
-    later in lexicographic order, so in descending (size, elements) order a
-    term need only be compared with the maximal terms kept before it.  That
-    work is checked against MAX_REDUCE_WORK before each term is compared."""
+    equal submodules."""
+    return frozenset(_maximal_terms(v)[0])
+
+
+def _maximal_terms(v: ModuleVector) -> tuple[list[Subset], int]:
+    """The maximal subsets of the support in descending (size, elements)
+    order, and the work spent finding them.  A subset lies only below
+    subsets of its size that come later in lexicographic order, so in that
+    order a term need only be compared with the maximal terms kept before
+    it.  That work is checked against MAX_REDUCE_WORK before each term is
+    compared."""
     kept: list[Subset] = []
     work = 0
     for s in sorted(v.terms, key=_subset_sort_key, reverse=True):
@@ -198,7 +208,7 @@ def reduced_support(v: ModuleVector) -> frozenset[Subset]:
             raise ValueError(f"reduced-support work exceeds bound {MAX_REDUCE_WORK}")
         if not any(subset_leq(s, t) for t in kept):
             kept.append(s)
-    return frozenset(kept)
+    return kept, work
 
 
 def reduced_form(v: ModuleVector) -> ModuleVector:
@@ -327,12 +337,13 @@ def dim_submodule(v: ModuleVector) -> int:
     per distinct meet (its Moebius weight) and drops the zeros: taking in a
     generator s adds -c at meet(m, s) for every entry (m, c), then +1 at s.
     The work grows with the meets taken and held, not with the 2^r sets J
-    of r generators; it is checked against MAX_SUBMODULE_WORK before each
-    step is taken.  The zero vector spans the zero module.
+    of r generators.  It is added to the work of finding the reduced support
+    and checked against MAX_SUBMODULE_WORK before each step is taken.  The
+    zero vector spans the zero module.
     """
-    red = sorted(reduced_support(v), key=_subset_sort_key)
-    total = work = 0
-    for k, generators in groupby(red, key=len):
+    red, work = _maximal_terms(v)
+    total = 0
+    for k, generators in groupby(reversed(red), key=len):
         signs: dict[Subset, int] = {}
         for s in generators:
             work = _within_budget(work + k * len(signs))
@@ -349,7 +360,9 @@ def dim_submodule(v: ModuleVector) -> int:
 
 def _within_budget(work: int) -> int:
     if work > MAX_SUBMODULE_WORK:
-        raise ValueError(f"inclusion-exclusion work exceeds bound {MAX_SUBMODULE_WORK}")
+        raise ValueError(
+            f"reduced-support and inclusion-exclusion work exceeds bound {MAX_SUBMODULE_WORK}"
+        )
     return work
 
 

@@ -29,6 +29,11 @@ MAX_ORACLE_CELLS = 10_000_000
 # in all.  At 1.2 * 10^10 the slowest shapes measured on CPython 3.11 took
 # about 0.85 s (k = 10^6..10^12) and the Catalan staircase k = m = 1025 0.35 s.
 MAX_STAIRCASE_WORK = 12_000_000_000
+# math.comb computes C(n, r) in 64-bit arithmetic when the result fits, as it
+# does for every r when n <= 67 (C(67, 33) < 2^64 < C(68, 34)).  There a fresh
+# call beats a Python-level step, so the gamma recursion and the determinant
+# take rows whose tops are at most this afresh and walk the larger ones.
+_WORD_TOP = 67
 
 
 class Direction(Enum):
@@ -196,15 +201,41 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
     gamma_1 = 1 and, for j >= 2,
         gamma_j = -sum(C(h_i - h_{j-1} + j - i - 1, j - i) * gamma_i, i = 1..j-2),
     so gamma_2 = 0 (empty sum) and gamma_j depends on h_1..h_{j-1} only.
+
+    The terms of gamma_j are kept as one row over i < j, whose last entry is
+    C(0, 1) = 0.  The step to gamma_{j+1} raises every top by the drop
+    d = h_{j-1} - h_j + 1 and every bottom by 1, so an entry C(n, r) of the
+    new row is the old one times
+        n / r                   when d = 1 (a flat run),
+        n (n - 1) / (r (n - r)) when d = 2 (a staircase step),
+    except that at d = 2 a zero entry, n = r (it ended a flat run), becomes
+    C(r, r) = 1.  A longer drop takes the row afresh.  So does every row whose
+    largest top, h_1 - h_{j-1} + j - 2, is at most _WORD_TOP; the first row
+    past it seeds the walk.
     """
     _require_direction(lam, Direction.DECREASING, "compute_gammas")
     h = lam.heights
     gammas = [1]
+    row: list[int] = []
     for j in range(2, len(h) + 1):
-        gammas.append(-sum(
-            binomial(h[i - 1] - h[j - 2] + j - i - 1, j - i) * gammas[i - 1]
-            for i in range(1, j - 1)
-        ))
+        # The terms are C(n, r) with r = j - i and n = h_i + shift - i.
+        shift = j - 1 - h[j - 2]
+        if h[0] + shift - 1 <= _WORD_TOP:
+            gammas.append(-sum(binomial(h[i - 1] + shift - i, j - i) * gammas[i - 1]
+                               for i in range(1, j - 1)))
+            continue
+        bottoms = range(j - 1, 1, -1)
+        tops = [x + shift - i for i, x in enumerate(h[: j - 2], 1)]
+        drop = h[j - 3] - h[j - 2] + 1
+        if drop > 2 or not row:
+            row = list(map(binomial, tops, bottoms))
+        elif drop == 1:
+            row = [c * n // r for c, n, r in zip(row, tops, bottoms)]
+        else:
+            row = [c * (n * (n - 1)) // (r * (n - r)) if c else 1
+                   for c, n, r in zip(row, tops, bottoms)]
+        row.append(0)
+        gammas.append(-sum(map(mul, row, gammas)))
     return tuple(gammas)
 
 
@@ -233,15 +264,26 @@ def count_below_increasing_determinant(a: HeightSequence) -> int:
     """Number of increasing lattice paths below a, as det C(a_i + 1, j - i + 1).
 
     The matrix is upper Hessenberg with 1s on its subdiagonal; expanding along
-    the last column gives D_m = sum((-1)^(m-i) C(a_i+1, m-i+1) D_{i-1}, i <= m).
+    the last column gives D_m = sum((-1)^(m-i) C(a_i+1, m-i+1) D_{i-1}, i <= m),
+    so E_m = (-1)^m D_m is -sum(C(a_i+1, m-i+1) E_{i-1}, i <= m).  Its terms
+    are kept as one row over i <= m: the step to m + 1 raises every bottom r
+    by 1, which multiplies C(a_i+1, r) by (a_i + 1 - r) / (r + 1), and adds
+    C(a_{m+1}+1, 1).  Rows whose largest top a_m + 1 is at most _WORD_TOP are
+    taken afresh.
     """
     _require_direction(a, Direction.INCREASING, "determinant count")
-    h = a.heights
-    d = [1]  # d[m] is the leading m x m minor
-    for m in range(1, len(h) + 1):
-        d.append(sum((-1) ** (m - i) * binomial(h[i - 1] + 1, m - i + 1) * d[i - 1]
-                     for i in range(1, m + 1)))
-    return d[-1]
+    tops = [x + 1 for x in a.heights]
+    e = [1]  # e[m] = (-1)^m times the leading m x m minor
+    row: list[int] = []
+    for m in range(1, len(tops) + 1):
+        # row[i] = C(tops[i], m - i), i < m.
+        if tops[m - 1] <= _WORD_TOP:
+            row = list(map(binomial, tops[:m], range(m, 0, -1)))
+        else:
+            row = [c * (n - r) // (r + 1) for c, n, r in zip(row, tops, range(m - 1, 0, -1))]
+            row.append(tops[m - 1])
+        e.append(-sum(map(mul, row, e)))
+    return (-1) ** len(tops) * e[-1]
 
 
 def count_below_oracle(h: HeightSequence) -> int:

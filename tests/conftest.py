@@ -108,6 +108,16 @@ def incl_excl_literal(s):
     )
 
 
+def gammas_literal(h):
+    """gamma_1..gamma_k of the decreasing heights h by the paper's recursion,
+    one binomial per term."""
+    g = [0, 1]  # 1-indexed
+    for j in range(2, len(h) + 1):
+        g.append(-sum(binomial(h[i - 1] - h[j - 2] + j - i - 1, j - i) * g[i]
+                      for i in range(1, j - 1)))
+    return tuple(g[1:])
+
+
 def iterative_literal(h):
     """The number of decreasing paths below the heights h as the paper writes
     it: h_1 + 1 at length 1, else the gamma recursion and the iterative
@@ -115,16 +125,24 @@ def iterative_literal(h):
     k = len(h)
     if k == 1:
         return h[0] + 1
-    g = [0, 1]  # 1-indexed
-    for j in range(2, k):
-        g.append(-sum(binomial(h[i - 1] - h[j - 2] + j - i - 1, j - i) * g[i]
-                      for i in range(1, j - 1)))
+    g = (0, *gammas_literal(h))  # 1-indexed
     return (
         sum(binomial(h[i - 1] + k - i + 1, k + 1 - i) * g[i] for i in range(1, k))
         - sum(binomial(h[i - 1] - h[k - 1] + k - i, k + 1 - i) * g[i] for i in range(1, k))
         - sum((h[k - 1] + 1) * binomial(h[i - 1] - h[k - 2] + k - i - 1, k - i) * g[i]
               for i in range(1, k - 1))
     )
+
+
+def hessenberg_det_literal(h):
+    """det C(h_i + 1, j - i + 1) of the increasing heights h, expanded along
+    its last column: D_0 = 1 and D_m = sum((-1)^(m-i) C(h_i+1, m-i+1) D_{i-1},
+    i <= m), one binomial per term."""
+    d = [1]
+    for m in range(1, len(h) + 1):
+        d.append(sum((-1) ** (m - i) * binomial(h[i - 1] + 1, m - i + 1) * d[i - 1]
+                     for i in range(1, m + 1)))
+    return d[-1]
 
 
 def cor35_rhs_literal(k):

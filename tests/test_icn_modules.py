@@ -519,22 +519,37 @@ def test_dim_submodule_oracle_bound(monkeypatch):
 
 def test_dim_submodule_work_bound(monkeypatch):
     # r generators of size r hold 2^r - 1 meets: r (2^r - 1 - r) units for
-    # taking them and r^2 (2^r - 1) for their dimensions, which comes to
-    # 638,676 at r = 12 and 1,490,593 at r = 13.
-    assert 638_676 <= MAX_SUBMODULE_WORK < 1_490_593
+    # taking them and r^2 (2^r - 1) for their dimensions, after r^2 (r - 1) / 2
+    # for finding the reduced support, which comes to 639,468 at r = 12 and
+    # 1,491,607 at r = 13.
+    assert 639_468 <= MAX_SUBMODULE_WORK < 1_491_607
     # Only the staircase {2, 4, ..., 24} itself is below none of the twelve.
     v = ModuleVector(24, {Subset(24, g): 1 for g in independent_antichain(12)})
     assert dim_submodule(v) == dim_catalan_family(12) - 1
     v = ModuleVector(26, {Subset(26, g): 1 for g in independent_antichain(13)})
     with pytest.raises(ValueError, match=f"bound {MAX_SUBMODULE_WORK}"):
         dim_submodule(v)
-    # The bound holds before the meets are taken, not after: 13 units each.
+    # The bound holds before the meets are taken, not after: 13 units each,
+    # on top of the 1014 units the reduced support took.
     taken = []
-    monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 100)
+    monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 1114)
     monkeypatch.setattr(icn_modules, "subset_meet", lambda s, t: taken.append(s) or subset_meet(s, t))
-    with pytest.raises(ValueError, match="bound 100"):
+    with pytest.raises(ValueError, match="^reduced-support and inclusion-exclusion work exceeds bound 1114$"):
         dim_submodule(v)
     assert 0 < 13 * len(taken) <= 100
+
+
+def test_reduced_support_and_dim_submodule_share_one_budget(monkeypatch):
+    # The antichain {i, 21 - i} takes 90 units to reduce, within both bounds
+    # of 100, and its first meets then take dim_submodule over the shared one.
+    v = ModuleVector(20, {Subset(20, (i, 21 - i)): 1 for i in range(1, 11)})
+    monkeypatch.setattr(icn_modules, "MAX_REDUCE_WORK", 100)
+    monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 100)
+    assert len(reduced_support(v)) == 10
+    with pytest.raises(ValueError, match="^reduced-support and inclusion-exclusion work"):
+        dim_submodule(v)
+    monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 10**6)
+    assert dim_submodule(v) == dim_submodule_oracle(v)
 
 
 def test_dim_submodule_matches_oracle_random():

@@ -270,6 +270,14 @@ def test_catalan_staircase():
     assert count_below_increasing_determinant(inc(range(1, 161))) == catalan(161)
 
 
+def test_walked_routes_agree_with_the_oracle_at_length_1000():
+    stair, raised = dec(range(1000, 0, -1)), dec(range(1004, 4, -1))
+    for lam in (stair, raised):
+        count = count_below_decreasing_iterative(lam)
+        assert count == count_below_increasing_determinant(lam.mirror()) == count_below_oracle(lam)
+    assert count_below_decreasing_iterative(stair) == catalan(1001)
+
+
 # -------------------------------------------------------------- enumeration
 
 

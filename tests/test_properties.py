@@ -5,8 +5,9 @@ in conftest.py), so every run checks the same inputs.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,6 +15,8 @@ from conftest import (
     det_bareiss_eager,
     det_cofactor,
     dim_submodule_literal,
+    gammas_literal,
+    hessenberg_det_literal,
     iterative_literal,
     reduced_support_literal,
 )
@@ -22,6 +25,7 @@ from rookpaths import (
     IntMatrix,
     ModuleVector,
     Subset,
+    compute_gammas,
     count_below_decreasing_iterative,
     count_below_increasing_determinant,
     count_below_oracle,
@@ -33,6 +37,7 @@ from rookpaths import (
     iter_below,
     reduced_support,
 )
+from rookpaths import lattice_paths
 
 decreasing_boundaries = st.lists(st.integers(0, 40), min_size=1, max_size=12).map(
     lambda heights: HeightSequence.decreasing(sorted(heights, reverse=True))
@@ -68,6 +73,18 @@ def antichain_vectors(draw):
             lowered[i] = draw(st.integers(lowest, lowered[i] - 1))
             terms[Subset(n, tuple(lowered))] = draw(coefficients)
     return ModuleVector(n, terms)
+
+
+@st.composite
+def walked_boundaries(draw):
+    """A decreasing boundary of length up to 80 whose drops h_i - h_(i+1)
+    reach every way a row of the gamma recursion is taken: flat runs (0),
+    staircase steps (1), short drops (2-4) and long ones (up to 10^4), past
+    the tops up to which rows are taken afresh."""
+    k = draw(st.integers(1, 80))
+    drop = st.one_of(st.just(0), st.just(1), st.integers(2, 4), st.integers(5, 10**4))
+    drops = draw(st.lists(drop, min_size=k - 1, max_size=k - 1))
+    return HeightSequence.decreasing(tuple(accumulate(drops, initial=draw(st.integers(0, 5))))[::-1])
 
 
 @st.composite
@@ -109,6 +126,31 @@ def test_iterative_route_matches_the_literal_formula_and_the_oracle_exhaustive()
 def test_iterative_route_matches_the_literal_formula_and_the_oracle(lam):
     expected = iterative_literal(lam.heights)
     assert count_below_decreasing_iterative(lam) == expected == count_below_oracle(lam)
+
+
+@pytest.mark.parametrize("word_top", [lattice_paths._WORD_TOP, -1])
+def test_walked_routes_match_the_literal_references_exhaustive(monkeypatch, word_top):
+    # Every decreasing sequence with k <= 7 and heights <= 7.  Its tops stay
+    # under _WORD_TOP, so every row is taken afresh; lowered to -1, it makes
+    # both routes walk every row from the first.
+    monkeypatch.setattr(lattice_paths, "_WORD_TOP", word_top)
+    total = 0
+    for k in range(1, 8):
+        for lam in iter_below(HeightSequence.decreasing((7,) * k)):
+            total += 1
+            h = lam.heights
+            assert compute_gammas(lam) == gammas_literal(h)
+            assert count_below_decreasing_iterative(lam) == iterative_literal(h)
+            assert count_below_increasing_determinant(lam.mirror()) == hessenberg_det_literal(h[::-1])
+    assert total == 6434
+
+
+@given(walked_boundaries())
+def test_walked_routes_match_the_literal_references(lam):
+    h = lam.heights
+    assert compute_gammas(lam) == gammas_literal(h)
+    assert count_below_decreasing_iterative(lam) == iterative_literal(h)
+    assert count_below_increasing_determinant(lam.mirror()) == hessenberg_det_literal(h[::-1])
 
 
 @given(increasing_boundaries)
