@@ -53,20 +53,17 @@ from .rook_monoid import PartialInjection, is_order_decreasing, is_order_preserv
 # VM), the top 19 of {1..2^14285} and the top 14 of {1..2^30000}, took about
 # 0.85 s; the top 215 of {1..1000} took 0.11 s.
 MAX_INCL_EXCL_WORK = 100_000_000
-# dim_submodule counts its work in subset elements: k for each meet of two
-# k-subsets it takes and k^2 for each meet whose dimension it sums, on top of
-# the reduced-support work (below) it spent first, so one budget bounds both.
-# On CPython 3.11 (2-vCPU VM) a unit took 0.35-1.4 us: 100 equal-sum
-# 6-subsets of {1..30} came to 0.92M units and 1.2 s.  A dimension of an even
-# staircase stays near 0.3 us a unit up to 500 elements, as the gamma
-# recursion walks its rows; a random k-subset of {1..3k}, whose drops of 3 or
-# more take rows afresh, costs 0.8 us at 150 elements and 2.9 us at 500.
+# The reduced support and dim_submodule count their work in subset elements,
+# against one budget: each term reduced costs its size times the maxima kept
+# before it, each meet of two k-subsets taken k, and each meet whose dimension
+# is summed k^2.  On CPython 3.11 (2-vCPU VM) a unit took 0.35-1.4 us: the
+# 1000-term antichain {i, 2001 - i} came to 0.999M units and 0.74 s through
+# `reduce`, and 100 equal-sum 6-subsets of {1..30} to 0.92M units and 1.2 s.
+# A dimension of an even staircase stays near 0.3 us a unit up to 500
+# elements, as the gamma recursion walks its rows; a random k-subset of
+# {1..3k}, whose drops of 3 or more take rows afresh, costs 0.8 us at 150
+# elements and 2.9 us at 500.
 MAX_SUBMODULE_WORK = 1_000_000
-# reduced_support charges each term its size times the maxima kept before
-# it, the subset elements it may compare, before comparing.  On CPython 3.11
-# (2-vCPU VM) the 1000-term antichain {i, 2001 - i} came to 0.999M units
-# and 0.74 s through `reduce`; a 4000-term one is refused in 0.7-0.8 s.
-MAX_REDUCE_WORK = 1_000_000
 # A walked k-subset costs k + 1 units; 5M took 0.5-1.2 s, 90-160 MB on CPython 3.11.
 MAX_ORACLE_WALK = 5_000_000
 
@@ -198,14 +195,14 @@ def _maximal_terms(v: ModuleVector) -> tuple[list[Subset], int]:
     order, and the work spent finding them.  A subset lies only below
     subsets of its size that come later in lexicographic order, so in that
     order a term need only be compared with the maximal terms kept before
-    it.  That work is checked against MAX_REDUCE_WORK before each term is
+    it.  That work is checked against MAX_SUBMODULE_WORK before each term is
     compared."""
     kept: list[Subset] = []
     work = 0
     for s in sorted(v.terms, key=_subset_sort_key, reverse=True):
         work += len(s) * len(kept)
-        if work > MAX_REDUCE_WORK:
-            raise ValueError(f"reduced-support work exceeds bound {MAX_REDUCE_WORK}")
+        if work > MAX_SUBMODULE_WORK:
+            raise ValueError(f"reduced-support work exceeds bound {MAX_SUBMODULE_WORK}")
         if not any(subset_leq(s, t) for t in kept):
             kept.append(s)
     return kept, work

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, mul, sub
 from typing import Iterator, NamedTuple
 
@@ -31,9 +31,13 @@ MAX_ORACLE_CELLS = 10_000_000
 MAX_STAIRCASE_WORK = 12_000_000_000
 # math.comb computes C(n, r) in 64-bit arithmetic when the result fits, as it
 # does for every r when n <= 67 (C(67, 33) < 2^64 < C(68, 34)).  There a fresh
-# call beats a Python-level step, so the gamma recursion and the determinant
-# take rows whose tops are at most this afresh and walk the larger ones.
+# call beats a Python-level step, so the gamma recursion takes rows whose tops
+# are at most this afresh and walks the larger ones.
 _WORD_TOP = 67
+# A listed sequence of length k costs k + 1 units, as a walked subset does for
+# the module oracle.  At 5 * 10^5 units the slowest shapes measured through
+# cli.run on CPython 3.11 (2-vCPU VM), k = 1 and k = 2, took about 1 s.
+MAX_LIST_WORK = 500_000
 
 
 class Direction(Enum):
@@ -268,8 +272,7 @@ def count_below_increasing_determinant(a: HeightSequence) -> int:
     so E_m = (-1)^m D_m is -sum(C(a_i+1, m-i+1) E_{i-1}, i <= m).  Its terms
     are kept as one row over i <= m: the step to m + 1 raises every bottom r
     by 1, which multiplies C(a_i+1, r) by (a_i + 1 - r) / (r + 1), and adds
-    C(a_{m+1}+1, 1).  Rows whose largest top a_m + 1 is at most _WORD_TOP are
-    taken afresh.
+    C(a_{m+1}+1, 1).  Every row is walked from the empty one.
     """
     _require_direction(a, Direction.INCREASING, "determinant count")
     tops = [x + 1 for x in a.heights]
@@ -277,11 +280,8 @@ def count_below_increasing_determinant(a: HeightSequence) -> int:
     row: list[int] = []
     for m in range(1, len(tops) + 1):
         # row[i] = C(tops[i], m - i), i < m.
-        if tops[m - 1] <= _WORD_TOP:
-            row = list(map(binomial, tops[:m], range(m, 0, -1)))
-        else:
-            row = [c * (n - r) // (r + 1) for c, n, r in zip(row, tops, range(m - 1, 0, -1))]
-            row.append(tops[m - 1])
+        row = [c * (n - r) // (r + 1) for c, n, r in zip(row, tops, range(m - 1, 0, -1))]
+        row.append(tops[m - 1])
         e.append(-sum(map(mul, row, e)))
     return (-1) ** len(tops) * e[-1]
 
@@ -361,8 +361,14 @@ class BelowEnumeration(NamedTuple):
 
 
 def enumerate_below(h: HeightSequence, cap: int) -> BelowEnumeration:
-    """List the sequences below h in lexicographic order, at most cap of them."""
-    return BelowEnumeration(*first_items(cap, lambda: iter_below(h)))
+    """List the sequences below h in lexicographic order, at most cap of them.
+    A listing of more than MAX_LIST_WORK // (k + 1) sequences of length k is
+    refused once one past that many has been listed."""
+    limit = MAX_LIST_WORK // (len(h) + 1)
+    items, truncated = first_items(cap, lambda: islice(iter_below(h), limit + 1))
+    if len(items) > limit:
+        raise ValueError(f"listing exceeds bound {limit} sequences of length {len(h)}")
+    return BelowEnumeration(items, truncated)
 
 
 def verify_identity_cor34(lam: HeightSequence) -> tuple[int, int, bool]:

@@ -226,6 +226,8 @@ def test_domain_errors_exit_2():
         ["paths-count", "--dir", "dec", "--heights", "9223372036854775808", "--method", "oracle"],
         ["paths-count", "--dir", "dec", "--heights", "9223372036854775808", "--check"],
         ["paths-list", "--dir", "dec", "--heights", "1", "--cap", "0"],
+        # Over the listing bound: 48,903,492 sequences lie below this one.
+        ["paths-list", "--dir", "dec", "--heights", ",".join(["30"] * 8), "--cap", "100000000"],
         ["dim-subset", "--n", "8", "--set", "3,3"],
         ["dim-subset", "--n", "4", "--set", "9"],
         ["dim-vector", "--n", "7", "--vector", "1:{1"],

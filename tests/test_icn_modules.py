@@ -45,7 +45,6 @@ from rookpaths import icn_modules
 from rookpaths.icn_modules import (
     MAX_INCL_EXCL_WORK,
     MAX_ORACLE_WALK,
-    MAX_REDUCE_WORK,
     MAX_SUBMODULE_WORK,
 )
 from rookpaths.lattice_paths import MAX_STAIRCASE_WORK
@@ -301,9 +300,9 @@ def test_reduced_support_work_bound(monkeypatch):
     def antichain(t):
         return ModuleVector(2 * t, {Subset(2 * t, (i, 2 * t + 1 - i)): 1 for i in range(1, t + 1)})
 
-    assert 1000 * 999 <= MAX_REDUCE_WORK < 1001 * 1000
+    assert 1000 * 999 <= MAX_SUBMODULE_WORK < 1001 * 1000
     compared = []
-    monkeypatch.setattr(icn_modules, "MAX_REDUCE_WORK", 100)
+    monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 100)
     monkeypatch.setattr(
         icn_modules, "subset_leq", lambda t, s: compared.append(t) or subset_leq(t, s)
     )
@@ -540,10 +539,9 @@ def test_dim_submodule_work_bound(monkeypatch):
 
 
 def test_reduced_support_and_dim_submodule_share_one_budget(monkeypatch):
-    # The antichain {i, 21 - i} takes 90 units to reduce, within both bounds
-    # of 100, and its first meets then take dim_submodule over the shared one.
+    # The antichain {i, 21 - i} takes 90 units to reduce, within a bound of
+    # 100, and its first meets then take dim_submodule over that same bound.
     v = ModuleVector(20, {Subset(20, (i, 21 - i)): 1 for i in range(1, 11)})
-    monkeypatch.setattr(icn_modules, "MAX_REDUCE_WORK", 100)
     monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 100)
     assert len(reduced_support(v)) == 10
     with pytest.raises(ValueError, match="^reduced-support and inclusion-exclusion work"):

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from conftest import cor35_rhs_literal, mixed_family_literal
+from conftest import cor35_rhs_literal, hessenberg_det_literal, mixed_family_literal
 from rookpaths import (
     Direction,
     HeightSequence,
@@ -24,6 +24,7 @@ from rookpaths import (
     verify_identity_cor34,
     verify_identity_cor35,
 )
+from rookpaths import lattice_paths
 from rookpaths.lattice_paths import _flat_staircase_count
 
 dec = HeightSequence.decreasing
@@ -222,6 +223,21 @@ def test_determinant_route_matches_bareiss_on_random_boundaries():
         assert count_below_increasing_determinant(inc(a)) == det_exact(matrix), a
 
 
+def test_determinant_route_calls_no_binomial(monkeypatch):
+    # It walks every row from the empty one, small tops included.
+    def no_binomial(n, r):
+        raise AssertionError(f"binomial({n}, {r}) called")
+
+    monkeypatch.setattr(lattice_paths, "binomial", no_binomial)
+    rng = random.Random(1985)
+    boundaries = [range(1, k + 1) for k in range(1, 41)]
+    boundaries += [(h,) * k for h in (0, 1, 66, 67, 100, 10**4) for k in (1, 2, 12, 40)]
+    boundaries += [sorted(rng.randint(0, 40) for _ in range(rng.randint(1, 12)))
+                   for _ in range(200)]
+    for a in map(tuple, boundaries):
+        assert count_below_increasing_determinant(inc(a)) == hessenberg_det_literal(a), a
+
+
 def test_oracle_refuses_boundaries_over_its_cell_bound():
     # Heights of 2^63 and more: refused before any table is allocated.
     with pytest.raises(ValueError, match="exceed bound 10000000"):
@@ -299,6 +315,25 @@ def test_enumerate_below_degenerate_and_truncated():
 def test_enumerate_below_rejects_zero_cap():
     with pytest.raises(ValueError):
         enumerate_below(dec((1,)), 0)
+
+
+def test_enumerate_below_listing_bound(monkeypatch):
+    # 30 units list at most 30 // 3 = 10 sequences of length 2: (3, 3) has
+    # exactly 10 below it and (4, 4) has 15.
+    assert lattice_paths.MAX_LIST_WORK // 8 >= 2300  # the longest listings benchmarked
+    monkeypatch.setattr(lattice_paths, "MAX_LIST_WORK", 30)
+    listed = []
+    monkeypatch.setattr(lattice_paths, "iter_below",
+                        lambda h: (listed.append(x) or x for x in iter_below(h)))
+    assert enumerate_below(dec((3, 3)), 100) == (list(iter_below(dec((3, 3)))), False)
+    result = enumerate_below(dec((4, 4)), 10)
+    assert len(result.items) == 10 and result.truncated
+    listed.clear()
+    for cap in (11, 100):
+        with pytest.raises(ValueError, match="^listing exceeds bound 10 sequences of length 2$"):
+            enumerate_below(dec((4, 4)), cap)
+    # Refused once the eleventh is listed, not after the whole listing.
+    assert len(listed) == 2 * 11
 
 
 def test_iter_below_matches_lexicographic_brute_force():

@@ -131,8 +131,9 @@ def test_iterative_route_matches_the_literal_formula_and_the_oracle(lam):
 @pytest.mark.parametrize("word_top", [lattice_paths._WORD_TOP, -1])
 def test_walked_routes_match_the_literal_references_exhaustive(monkeypatch, word_top):
     # Every decreasing sequence with k <= 7 and heights <= 7.  Its tops stay
-    # under _WORD_TOP, so every row is taken afresh; lowered to -1, it makes
-    # both routes walk every row from the first.
+    # under _WORD_TOP, so the gamma recursion takes every row afresh; lowered
+    # to -1, it makes the recursion walk every row from the first.  The
+    # determinant walks every row either way.
     monkeypatch.setattr(lattice_paths, "_WORD_TOP", word_top)
     total = 0
     for k in range(1, 8):
