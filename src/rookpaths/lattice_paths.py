@@ -29,11 +29,6 @@ MAX_ORACLE_CELLS = 10_000_000
 # in all.  At 1.2 * 10^10 the slowest shapes measured on CPython 3.11 took
 # about 0.85 s (k = 10^6..10^12) and the Catalan staircase k = m = 1025 0.35 s.
 MAX_STAIRCASE_WORK = 12_000_000_000
-# math.comb computes C(n, r) in 64-bit arithmetic when the result fits, as it
-# does for every r when n <= 67 (C(67, 33) < 2^64 < C(68, 34)).  There a fresh
-# call beats a Python-level step, so the gamma recursion takes rows whose tops
-# are at most this afresh and walks the larger ones.
-_WORD_TOP = 67
 # A listed sequence of length k costs k + 1 units, as a walked subset does for
 # the module oracle.  At 5 * 10^5 units the slowest shapes measured through
 # cli.run on CPython 3.11 (2-vCPU VM), k = 1 and k = 2, took about 1 s.
@@ -206,41 +201,32 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
         gamma_j = -sum(C(h_i - h_{j-1} + j - i - 1, j - i) * gamma_i, i = 1..j-2),
     so gamma_2 = 0 (empty sum) and gamma_j depends on h_1..h_{j-1} only.
 
-    The terms of gamma_j are kept as one row over i < j, whose last entry is
-    C(0, 1) = 0.  The step to gamma_{j+1} raises every top by the drop
-    d = h_{j-1} - h_j + 1 and every bottom by 1, so an entry C(n, r) of the
-    new row is the old one times
+    With a_i = h_i - i the terms of gamma_j are C(a_i - a_{j-1}, j - i), kept
+    as one row over i < j whose last entry is C(0, 1) = 0; gamma_2's row is
+    that entry alone.  The step to gamma_{j+1} raises every top n by the drop
+    d = a_{j-1} - a_j and every bottom r by 1, so an entry of the new row is
+    the old one times
         n / r                   when d = 1 (a flat run),
         n (n - 1) / (r (n - r)) when d = 2 (a staircase step),
     except that at d = 2 a zero entry, n = r (it ended a flat run), becomes
-    C(r, r) = 1.  A longer drop takes the row afresh.  So does every row whose
-    largest top, h_1 - h_{j-1} + j - 2, is at most _WORD_TOP; the first row
-    past it seeds the walk.
+    C(r, r) = 1.  A longer drop takes the row afresh.
     """
     _require_direction(lam, Direction.DECREASING, "compute_gammas")
-    h = lam.heights
-    gammas = [1]
-    row: list[int] = []
-    for j in range(2, len(h) + 1):
-        # The terms are C(n, r) with r = j - i and n = h_i + shift - i.
-        shift = j - 1 - h[j - 2]
-        if h[0] + shift - 1 <= _WORD_TOP:
-            gammas.append(-sum(binomial(h[i - 1] + shift - i, j - i) * gammas[i - 1]
-                               for i in range(1, j - 1)))
-            continue
+    a = [x - i for i, x in enumerate(lam.heights)]
+    gammas, row = [1, 0], [0]
+    for j in range(3, len(a) + 1):
+        y, drop = a[j - 2], a[j - 3] - a[j - 2]
         bottoms = range(j - 1, 1, -1)
-        tops = [x + shift - i for i, x in enumerate(h[: j - 2], 1)]
-        drop = h[j - 3] - h[j - 2] + 1
-        if drop > 2 or not row:
-            row = list(map(binomial, tops, bottoms))
-        elif drop == 1:
-            row = [c * n // r for c, n, r in zip(row, tops, bottoms)]
+        if drop == 1:
+            row = [c * (x - y) // r for c, x, r in zip(row, a, bottoms)]
+        elif drop == 2:
+            row = [c * ((x - y) * (x - y - 1)) // (r * (x - y - r)) if c else 1
+                   for c, x, r in zip(row, a, bottoms)]
         else:
-            row = [c * (n * (n - 1)) // (r * (n - r)) if c else 1
-                   for c, n, r in zip(row, tops, bottoms)]
+            row = [binomial(x - y, r) for x, r in zip(a, bottoms)]
         row.append(0)
         gammas.append(-sum(map(mul, row, gammas)))
-    return tuple(gammas)
+    return tuple(gammas[: len(a)])
 
 
 def count_below_decreasing_iterative(lam: HeightSequence) -> int:

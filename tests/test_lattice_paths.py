@@ -1,9 +1,9 @@
 import random
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 
-from conftest import cor35_rhs_literal, hessenberg_det_literal, mixed_family_literal
+from conftest import cor35_rhs_literal, gammas_literal, hessenberg_det_literal, mixed_family_literal
 from rookpaths import (
     Direction,
     HeightSequence,
@@ -238,6 +238,23 @@ def test_determinant_route_calls_no_binomial(monkeypatch):
         assert count_below_increasing_determinant(inc(a)) == hessenberg_det_literal(a), a
 
 
+def test_gamma_recursion_takes_rows_afresh_only_after_long_drops(monkeypatch):
+    # It walks every row from gamma_2's across height drops of 0 and 1,
+    # small tops included.
+    def no_binomial(n, r):
+        raise AssertionError(f"binomial({n}, {r}) called")
+
+    monkeypatch.setattr(lattice_paths, "binomial", no_binomial)
+    rng = random.Random(1985)
+    boundaries = [range(k, 0, -1) for k in range(1, 41)]
+    boundaries += [(h,) * k for h in (0, 1, 66, 67, 100, 10**4) for k in (1, 2, 12, 40)]
+    for _ in range(200):
+        drops = [rng.randint(0, 1) for _ in range(rng.randint(0, 39))]
+        boundaries.append(list(accumulate(drops, initial=rng.randint(0, 40)))[::-1])
+    for h in map(tuple, boundaries):
+        assert compute_gammas(dec(h)) == gammas_literal(h), h
+
+
 def test_oracle_refuses_boundaries_over_its_cell_bound():
     # Heights of 2^63 and more: refused before any table is allocated.
     with pytest.raises(ValueError, match="exceed bound 10000000"):
@@ -292,6 +309,15 @@ def test_walked_routes_agree_with_the_oracle_at_length_1000():
         count = count_below_decreasing_iterative(lam)
         assert count == count_below_increasing_determinant(lam.mirror()) == count_below_oracle(lam)
     assert count_below_decreasing_iterative(stair) == catalan(1001)
+
+
+def test_walked_and_fresh_rows_agree_with_the_oracle_at_length_300():
+    # A raised staircase: height drops 0: 77, 1: 154, 2: 58 and 3: 10, so
+    # walked rows of the gamma recursion follow rows taken afresh.
+    rng = random.Random(300)
+    lam = dec(sorted((300 - i + rng.randint(0, 2) for i in range(300)), reverse=True))
+    count = count_below_decreasing_iterative(lam)
+    assert count == count_below_increasing_determinant(lam.mirror()) == count_below_oracle(lam)
 
 
 # -------------------------------------------------------------- enumeration

@@ -7,7 +7,6 @@ in conftest.py), so every run checks the same inputs.
 from fractions import Fraction
 from itertools import accumulate, combinations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -37,7 +36,6 @@ from rookpaths import (
     iter_below,
     reduced_support,
 )
-from rookpaths import lattice_paths
 
 decreasing_boundaries = st.lists(st.integers(0, 40), min_size=1, max_size=12).map(
     lambda heights: HeightSequence.decreasing(sorted(heights, reverse=True))
@@ -78,9 +76,9 @@ def antichain_vectors(draw):
 @st.composite
 def walked_boundaries(draw):
     """A decreasing boundary of length up to 80 whose drops h_i - h_(i+1)
-    reach every way a row of the gamma recursion is taken: flat runs (0),
-    staircase steps (1), short drops (2-4) and long ones (up to 10^4), past
-    the tops up to which rows are taken afresh."""
+    take the rows of the gamma recursion both ways: walked across flat runs
+    (0) and staircase steps (1), afresh after short drops (2-4) and long ones
+    (up to 10^4)."""
     k = draw(st.integers(1, 80))
     drop = st.one_of(st.just(0), st.just(1), st.integers(2, 4), st.integers(5, 10**4))
     drops = draw(st.lists(drop, min_size=k - 1, max_size=k - 1))
@@ -128,13 +126,10 @@ def test_iterative_route_matches_the_literal_formula_and_the_oracle(lam):
     assert count_below_decreasing_iterative(lam) == expected == count_below_oracle(lam)
 
 
-@pytest.mark.parametrize("word_top", [lattice_paths._WORD_TOP, -1])
-def test_walked_routes_match_the_literal_references_exhaustive(monkeypatch, word_top):
-    # Every decreasing sequence with k <= 7 and heights <= 7.  Its tops stay
-    # under _WORD_TOP, so the gamma recursion takes every row afresh; lowered
-    # to -1, it makes the recursion walk every row from the first.  The
-    # determinant walks every row either way.
-    monkeypatch.setattr(lattice_paths, "_WORD_TOP", word_top)
+def test_walked_routes_match_the_literal_references_exhaustive():
+    # Every decreasing sequence with k <= 7 and heights <= 7: the gamma
+    # recursion walks its rows across drops of 0 and 1 and takes them afresh
+    # after longer ones, and the determinant walks every row.
     total = 0
     for k in range(1, 8):
         for lam in iter_below(HeightSequence.decreasing((7,) * k)):
