@@ -7,6 +7,7 @@ in conftest.py), so every run checks the same inputs.
 from fractions import Fraction
 from itertools import accumulate, combinations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -126,15 +127,21 @@ def test_iterative_route_matches_the_literal_formula_and_the_oracle(lam):
     assert count_below_decreasing_iterative(lam) == expected == count_below_oracle(lam)
 
 
-def test_walked_routes_match_the_literal_references_exhaustive():
-    # Every decreasing sequence with k <= 7 and heights <= 7: the gamma
-    # recursion walks its rows across drops of 0 and 1 and takes them afresh
-    # after longer ones, and the determinant walks every row.
+@pytest.mark.parametrize("past", [-1, 67])
+def test_walked_routes_match_the_literal_references_exhaustive(past):
+    # Every decreasing sequence with k <= 7 and heights <= 7, lifted by
+    # past + 1 so that every height exceeds `past`: -1 leaves the heights as
+    # they are, 67 lifts them to 68..75.  The gamma recursion walks its rows
+    # across drops of 0 and 1 and takes them afresh after longer ones, and the
+    # determinant walks every row.  The lift leaves the gammas alone (they read
+    # height differences only) and moves the counts and the determinant's
+    # rows to large tops.
     total = 0
     for k in range(1, 8):
         for lam in iter_below(HeightSequence.decreasing((7,) * k)):
             total += 1
-            h = lam.heights
+            h = tuple(x + past + 1 for x in lam.heights)
+            lam = HeightSequence.decreasing(h)
             assert compute_gammas(lam) == gammas_literal(h)
             assert count_below_decreasing_iterative(lam) == iterative_literal(h)
             assert count_below_increasing_determinant(lam.mirror()) == hessenberg_det_literal(h[::-1])
