@@ -59,10 +59,9 @@ MAX_INCL_EXCL_WORK = 100_000_000
 # is summed k^2.  On CPython 3.11 (2-vCPU VM) a unit took 0.35-1.4 us: the
 # 1000-term antichain {i, 2001 - i} came to 0.999M units and 0.74 s through
 # `reduce`, and 100 equal-sum 6-subsets of {1..30} to 0.92M units and 1.2 s.
-# A dimension of an even staircase stays near 0.3 us a unit up to 500
-# elements, as the gamma recursion walks its rows; a random k-subset of
-# {1..3k}, whose drops of 3 or more take rows afresh, costs 0.8 us at 150
-# elements and 2.9 us at 500.
+# The gamma recursion walks its rows across every drop, so a dimension of an
+# even staircase costs 0.3 us a unit at 150 elements and 0.45 us at 500, and
+# one of a random k-subset of {1..3k} 0.3-0.4 us and 0.6-0.7 us.
 MAX_SUBMODULE_WORK = 1_000_000
 # A walked k-subset costs k + 1 units; 5M took 0.5-1.2 s, 90-160 MB on CPython 3.11.
 MAX_ORACLE_WALK = 5_000_000

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, islice
+from math import perm
 from operator import add, mul, sub
 from typing import Iterator, NamedTuple
 
@@ -204,26 +205,20 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
     With a_i = h_i - i the terms of gamma_j are C(a_i - a_{j-1}, j - i), kept
     as one row over i < j whose last entry is C(0, 1) = 0; gamma_2's row is
     that entry alone.  The step to gamma_{j+1} raises every top n by the drop
-    d = a_{j-1} - a_j and every bottom r by 1, so an entry of the new row is
-    the old one times
-        n / r                   when d = 1 (a flat run),
-        n (n - 1) / (r (n - r)) when d = 2 (a staircase step),
-    except that at d = 2 a zero entry, n = r (it ended a flat run), becomes
-    C(r, r) = 1.  A longer drop takes the row afresh.
+    d = a_{j-1} - a_j >= 1 and every bottom r by 1, so an entry of the new
+    row is the old one walked by
+        C(n, r) = C(n - d, r - 1) * perm(n, d) / (r * perm(n - r, d - 1)),
+    d small factors up and d down, where a fresh binomial takes r of each.
+    So an entry is walked where it is nonzero and d <= r, and taken afresh
+    otherwise: in a flat run's zero tail (n = r - 2 + d) or where d > r.
     """
     _require_direction(lam, Direction.DECREASING, "compute_gammas")
     a = [x - i for i, x in enumerate(lam.heights)]
     gammas, row = [1, 0], [0]
     for j in range(3, len(a) + 1):
-        y, drop = a[j - 2], a[j - 3] - a[j - 2]
-        bottoms = range(j - 1, 1, -1)
-        if drop == 1:
-            row = [c * (x - y) // r for c, x, r in zip(row, a, bottoms)]
-        elif drop == 2:
-            row = [c * ((x - y) * (x - y - 1)) // (r * (x - y - r)) if c else 1
-                   for c, x, r in zip(row, a, bottoms)]
-        else:
-            row = [binomial(x - y, r) for x, r in zip(a, bottoms)]
+        y, d = a[j - 2], a[j - 3] - a[j - 2]
+        row = [c * perm(x - y, d) // (r * perm(x - y - r, d - 1)) if c and d <= r
+               else binomial(x - y, r) for c, x, r in zip(row, a, range(j - 1, 1, -1))]
         row.append(0)
         gammas.append(-sum(map(mul, row, gammas)))
     return tuple(gammas[: len(a)])

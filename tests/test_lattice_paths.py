@@ -1,5 +1,6 @@
 import random
 from itertools import accumulate, combinations_with_replacement, product
+from operator import sub
 
 import pytest
 
@@ -238,20 +239,28 @@ def test_determinant_route_calls_no_binomial(monkeypatch):
         assert count_below_increasing_determinant(inc(a)) == hessenberg_det_literal(a), a
 
 
-def test_gamma_recursion_takes_rows_afresh_only_after_long_drops(monkeypatch):
-    # It walks every row from gamma_2's across height drops of 0 and 1,
-    # small tops included.
-    def no_binomial(n, r):
-        raise AssertionError(f"binomial({n}, {r}) called")
+def test_gamma_recursion_takes_afresh_only_binomials_within_the_largest_drop(monkeypatch):
+    # It walks every nonzero entry whose bottom r is at least the drop d in
+    # a_i = h_i - i, small tops included.  So an entry taken afresh lies in a
+    # flat run's zero tail, C(r - 2 + d, r), or has r < d: either way
+    # min(r, n - r) is at most the height drop d - 1, and so at most the
+    # boundary's largest.  Whole rows taken afresh fail here.
+    largest_drop = 0
 
-    monkeypatch.setattr(lattice_paths, "binomial", no_binomial)
+    def short_binomial(n, r):
+        assert min(r, n - r) <= largest_drop, f"binomial({n}, {r}) taken afresh"
+        return binomial(n, r)
+
+    monkeypatch.setattr(lattice_paths, "binomial", short_binomial)
     rng = random.Random(1985)
     boundaries = [range(k, 0, -1) for k in range(1, 41)]
     boundaries += [(h,) * k for h in (0, 1, 66, 67, 100, 10**4) for k in (1, 2, 12, 40)]
-    for _ in range(200):
-        drops = [rng.randint(0, 1) for _ in range(rng.randint(0, 39))]
-        boundaries.append(list(accumulate(drops, initial=rng.randint(0, 40)))[::-1])
+    for top_drop in (1, 3):
+        for _ in range(200):
+            drops = [rng.randint(0, top_drop) for _ in range(rng.randint(0, 39))]
+            boundaries.append(list(accumulate(drops, initial=rng.randint(0, 40)))[::-1])
     for h in map(tuple, boundaries):
+        largest_drop = max(map(sub, h, h[1:]), default=0)
         assert compute_gammas(dec(h)) == gammas_literal(h), h
 
 
@@ -304,8 +313,12 @@ def test_catalan_staircase():
 
 
 def test_walked_routes_agree_with_the_oracle_at_length_1000():
+    # The last is a raised staircase with height drops 0: 292, 1: 464, 2: 194
+    # and 3: 49, whose rows of the gamma recursion are walked across all four.
     stair, raised = dec(range(1000, 0, -1)), dec(range(1004, 4, -1))
-    for lam in (stair, raised):
+    rng = random.Random(1000)
+    uneven = dec(sorted((1000 - i + rng.randint(0, 2) for i in range(1000)), reverse=True))
+    for lam in (stair, raised, uneven):
         count = count_below_decreasing_iterative(lam)
         assert count == count_below_increasing_determinant(lam.mirror()) == count_below_oracle(lam)
     assert count_below_decreasing_iterative(stair) == catalan(1001)
@@ -313,7 +326,9 @@ def test_walked_routes_agree_with_the_oracle_at_length_1000():
 
 def test_walked_and_fresh_rows_agree_with_the_oracle_at_length_300():
     # A raised staircase: height drops 0: 77, 1: 154, 2: 58 and 3: 10, so
-    # walked rows of the gamma recursion follow rows taken afresh.
+    # its rows of the gamma recursion walk most entries across drops of 1 to
+    # 4 in a_i = h_i - i and take afresh the zero tails and the few entries
+    # whose bottom is below the drop.
     rng = random.Random(300)
     lam = dec(sorted((300 - i + rng.randint(0, 2) for i in range(300)), reverse=True))
     count = count_below_decreasing_iterative(lam)

@@ -77,11 +77,14 @@ def antichain_vectors(draw):
 @st.composite
 def walked_boundaries(draw):
     """A decreasing boundary of length up to 80 whose drops h_i - h_(i+1)
-    take the rows of the gamma recursion both ways: walked across flat runs
-    (0) and staircase steps (1), afresh after short drops (2-4) and long ones
-    (up to 10^4)."""
+    take the entries of the gamma recursion's rows both ways in one row:
+    walked where the drop is at most an entry's bottom, across flat runs (0),
+    staircase steps (1), short drops (2-4) and drops up to the bottoms
+    (5-80); taken afresh in a flat run's zero tail and where a drop, up to
+    10^4, exceeds the bottom."""
     k = draw(st.integers(1, 80))
-    drop = st.one_of(st.just(0), st.just(1), st.integers(2, 4), st.integers(5, 10**4))
+    drop = st.one_of(st.just(0), st.just(1), st.integers(2, 4), st.integers(5, 80),
+                     st.integers(5, 10**4))
     drops = draw(st.lists(drop, min_size=k - 1, max_size=k - 1))
     return HeightSequence.decreasing(tuple(accumulate(drops, initial=draw(st.integers(0, 5))))[::-1])
 
@@ -131,8 +134,8 @@ def test_iterative_route_matches_the_literal_formula_and_the_oracle(lam):
 def test_walked_routes_match_the_literal_references_exhaustive(past):
     # Every decreasing sequence with k <= 7 and heights <= 7, lifted by
     # past + 1 so that every height exceeds `past`: -1 leaves the heights as
-    # they are, 67 lifts them to 68..75.  The gamma recursion walks its rows
-    # across drops of 0 and 1 and takes them afresh after longer ones, and the
+    # they are, 67 lifts them to 68..75.  The gamma recursion walks each entry
+    # whose bottom is at least the drop and takes the rest afresh, and the
     # determinant walks every row.  The lift leaves the gammas alone (they read
     # height differences only) and moves the counts and the determinant's
     # rows to large tops.
