@@ -28,6 +28,7 @@ from .lattice_paths import (
 from .rook_monoid import (
     PartialInjection,
     compose,
+    count_icn,
     enumerate_icn,
     format_two_line,
     identity_map,

@@ -37,7 +37,7 @@ from .lattice_paths import (
     verify_identity_cor34,
     verify_identity_cor35,
 )
-from .rook_monoid import compose, enumerate_icn, format_two_line, parse_two_line
+from .rook_monoid import compose, count_icn, enumerate_icn, format_two_line, parse_two_line
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
@@ -188,12 +188,12 @@ def _cmd_reduce(args):
 
 
 def _cmd_monoid_size(args):
-    value = _digits(len(enumerate_icn(args.n)))
+    value = _digits(count_icn(args.n))
     return {"n": args.n}, {"value": value}, [value]
 
 
 def _cmd_monoid_list(args):
-    elements, truncated = first_items(args.cap, lambda: enumerate_icn(args.n))
+    elements, truncated = first_items(args.cap, lambda: enumerate_icn(args.n, args.cap + 1))
     items = [format_two_line(f) for f in elements]
     return {"n": args.n, "cap": args.cap}, {"items": items, "truncated": truncated}, items
 

@@ -210,7 +210,8 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
         C(n, r) = C(n - d, r - 1) * perm(n, d) / (r * perm(n - r, d - 1)),
     d small factors up and d down, where a fresh binomial takes r of each.
     So an entry is walked where it is nonzero and d <= r, and taken afresh
-    otherwise: in a flat run's zero tail (n = r - 2 + d) or where d > r.
+    otherwise: in a flat run's zero tail (n = r - 2 + d) or where d > r.  A
+    fresh entry with n < r is 0 and costs no binomial.
     """
     _require_direction(lam, Direction.DECREASING, "compute_gammas")
     a = [x - i for i, x in enumerate(lam.heights)]
@@ -218,7 +219,8 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
     for j in range(3, len(a) + 1):
         y, d = a[j - 2], a[j - 3] - a[j - 2]
         row = [c * perm(x - y, d) // (r * perm(x - y - r, d - 1)) if c and d <= r
-               else binomial(x - y, r) for c, x, r in zip(row, a, range(j - 1, 1, -1))]
+               else binomial(x - y, r) if x - y >= r else 0
+               for c, x, r in zip(row, a, range(j - 1, 1, -1))]
         row.append(0)
         gammas.append(-sum(map(mul, row, gammas)))
     return tuple(gammas[: len(a)])

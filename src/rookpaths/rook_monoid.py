@@ -9,7 +9,7 @@ exactly the upper triangular rook matrices under the usual matrix encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from .exact_math import (
     IntMatrix,
@@ -22,7 +22,8 @@ from .exact_math import (
 )
 from .lattice_paths import iter_subsets_below
 
-# enumerate_icn builds all c_{n+1} maps of {1..n}: 58786 at n = 10.
+# The stated domain of count_icn and enumerate_icn, and so of monoid-size and
+# monoid-list: {1..n} for n up to 10, where the monoid has c_11 = 58786 maps.
 MAX_ICN_N = 10
 
 
@@ -99,9 +100,8 @@ def to_rook_matrix(f: PartialInjection) -> IntMatrix:
 
 def format_two_line(f: PartialInjection) -> str:
     """Two-line text form "s1 s2 ... / i1 i2 ..."; the zero map prints as "/"."""
-    left = " ".join(str(s) for s in f.sources)
-    right = " ".join(str(i) for i in f.images)
-    return f"{left} / {right}".strip()
+    p = f.pairs
+    return (" ".join([str(s) for s, _ in p]) + " / " + " ".join([str(i) for _, i in p])).strip()
 
 
 def parse_two_line(text: str, n: int) -> PartialInjection:
@@ -131,19 +131,39 @@ def parse_two_line(text: str, n: int) -> PartialInjection:
     return PartialInjection(n, tuple(pairs))
 
 
-def enumerate_icn(n: int) -> list[PartialInjection]:
-    """All order preserving, order decreasing maps of {1..n}.
+def _icn_size(n: int) -> int:
+    return int_entries((n,), "n must be within {low}..{high}", 1, MAX_ICN_N)[0]
+
+
+def count_icn(n: int) -> int:
+    """Number of order preserving, order decreasing maps of {1..n}, c_{n+1}.
+
+    Such a map is a pair (D, R) of equal-size subsets with R dominated by D,
+    that is c = |R & [1, x]| - |D & [1, x]| >= 0 for every x.  Scanning
+    x = 1..n, each x moves c by +1 (in R only), by -1 (in D only, when
+    c >= 1) or by 0 in two ways (in both, or in neither); the maps are the
+    scans that end at c = 0.  No map is built.
+    """
+    ways = [1]  # ways[c]: the choices of D and R inside [1, x] that reach c
+    for _ in range(_icn_size(n)):
+        padded = [0, *ways, 0, 0]
+        ways = [padded[c] + 2 * padded[c + 1] + padded[c + 2] for c in range(len(ways) + 1)]
+    return ways[0]
+
+
+def enumerate_icn(n: int, cap: int | None = None) -> list[PartialInjection]:
+    """The first cap (all, for None) order preserving, order decreasing maps
+    of {1..n}.
 
     Such a map is determined by its domain D and range R, equal-size subsets
     with R dominated by D componentwise; the sorted bijection between them is
-    the map.  Output is ordered by (sources, images) lexicographically.
+    the map.  Output is ordered by (sources, images) lexicographically, and
+    no map past the cap is built.
     """
-    int_entries((n,), "n must be within {low}..{high}", 1, MAX_ICN_N)
+    n = _icn_size(n)
     domains = sorted(
         chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1))
     )
-    out = []
-    for dom in domains:
-        for ran in iter_subsets_below(dom):
-            out.append(trusted(PartialInjection, n, tuple(zip(dom, ran))))
-    return out
+    maps = (trusted(PartialInjection, n, tuple(zip(dom, ran)))
+            for dom in domains for ran in iter_subsets_below(dom))
+    return list(islice(maps, cap))

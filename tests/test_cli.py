@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import independent_antichain
-from rookpaths import Subset, cli, icn_modules
+from rookpaths import Subset, catalan, cli, icn_modules, rook_monoid
 from rookpaths.cli import run
 
 
@@ -123,9 +123,34 @@ def test_reduce_output():
 
 
 def test_monoid_size():
-    plain, payload = plain_and_json(["monoid-size", "--n", "2"])
-    assert plain.strip() == "5"
-    assert payload == {"input": {"n": 2}, "value": "5"}
+    for n in range(1, 11):
+        c = catalan(n + 1)
+        assert invoke(["monoid-size", "--n", str(n)]) == (0, f"{c}\n", "")
+        json_bytes = f'{{"input":{{"n":{n}}},"value":"{c}"}}\n'
+        assert invoke(["monoid-size", "--n", str(n), "--json"]) == (0, json_bytes, "")
+
+
+def test_monoid_size_builds_no_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("monoid-size built a map")
+
+    monkeypatch.setattr(cli, "enumerate_icn", refuse)
+    monkeypatch.setattr(rook_monoid, "trusted", refuse)
+    assert invoke(["monoid-size", "--n", "10"]) == (0, "58786\n", "")
+
+
+def test_monoid_list_builds_no_map_past_the_cap(monkeypatch):
+    built = []
+    trusted = rook_monoid.trusted
+
+    def counted(cls, *values):
+        built.append(values)
+        return trusted(cls, *values)
+
+    monkeypatch.setattr(rook_monoid, "trusted", counted)
+    code, out, err = invoke(["monoid-list", "--n", "10", "--cap", "5"])
+    assert (code, len(out.splitlines()), err) == (0, 5, "output truncated at cap\n")
+    assert len(built) <= 6
 
 
 def test_monoid_list():

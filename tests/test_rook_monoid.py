@@ -5,6 +5,7 @@ from rookpaths import (
     PartialInjection,
     catalan,
     compose,
+    count_icn,
     enumerate_icn,
     format_two_line,
     identity_map,
@@ -140,20 +141,27 @@ def test_enumerate_icn_against_predicate_filter():
 
 
 def test_enumerate_icn_cardinality_is_catalan():
-    for n in range(1, 9):
-        assert len(enumerate_icn(n)) == catalan(n + 1)
+    for n in range(1, 11):
+        assert count_icn(n) == len(enumerate_icn(n)) == catalan(n + 1)
 
 
 def test_enumerate_icn_is_sorted_and_bounded():
     elements = enumerate_icn(3)
     keys = [(f.sources, f.images) for f in elements]
     assert keys == sorted(keys)
-    with pytest.raises(ValueError):
-        enumerate_icn(0)
-    with pytest.raises(ValueError):
-        enumerate_icn(11)
-    with pytest.raises(ValueError, match="n must be within 1..10, got True"):
-        enumerate_icn(True)
+    # count_icn has the listing's domain and message.
+    for bad in (0, 11, True):
+        for fn in (enumerate_icn, count_icn):
+            with pytest.raises(ValueError) as refused:
+                fn(bad)
+            assert str(refused.value) == f"n must be within 1..10, got {bad!r}"
+
+
+def test_enumerate_icn_cap_is_a_prefix_of_the_listing():
+    for n in range(1, 8):
+        elements = enumerate_icn(n)
+        for cap in range(1, len(elements) + 2):
+            assert enumerate_icn(n, cap) == elements[:cap]
 
 
 def test_associativity_exhaustive():
