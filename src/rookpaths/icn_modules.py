@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, islice
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .exact_math import (
@@ -119,37 +120,36 @@ def downset(s: Subset) -> list[tuple[int, ...]]:
     return list(iter_downset(s))
 
 
+@dataclass(frozen=True)
 class ModuleVector:
     """Finite formal rational combination of basis vectors v_S.
 
     Coefficients must be ints (not bools) or Fractions; they are stored as
-    Fractions, and only nonzero ones, so the support is structural.
+    Fractions, and only nonzero ones, so the support is structural.  The
+    terms are a read-only mapping.
     """
 
-    __slots__ = ("n", "terms")
+    n: int
+    terms: Mapping[Subset, Fraction] | None = None
 
-    def __init__(self, n: int, terms: Mapping[Subset, object] | None = None):
-        self.n = positive_ambient(n)
-        self.terms: dict[Subset, Fraction] = {}
-        for subset, coeff in (terms or {}).items():
+    def __post_init__(self):
+        positive_ambient(self.n)
+        terms: dict[Subset, Fraction] = {}
+        for subset, coeff in (self.terms or {}).items():
             if not isinstance(subset, Subset):
                 raise ValueError(f"term key must be a Subset, got {subset!r}")
             same_ambient(subset, self)
             if type(coeff) is not int and not isinstance(coeff, Fraction):
                 raise ValueError(f"coefficients must be ints or Fractions, got {coeff!r}")
             if coeff:
-                self.terms[subset] = Fraction(coeff)
+                terms[subset] = Fraction(coeff)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def sorted_terms(self) -> list[tuple[Subset, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: _subset_sort_key(item[0]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
 
     def __repr__(self) -> str:
         return f"ModuleVector({self.n}, {format_module_vector(self)!r})"
@@ -282,20 +282,19 @@ def _mixed_params(k: int, m: int) -> None:
 def catalan_family_subset(k: int) -> Subset:
     """The even staircase {2, 4, ..., 2k}, a subset of {1..2k}."""
     _catalan_params(k)
-    return Subset(2 * k, tuple(2 * i for i in range(1, k + 1)))
+    return trusted(Subset, 2 * k, tuple(range(2, 2 * k + 1, 2)))
 
 
 def interval_family_subset(m: int, k: int) -> Subset:
     """The interval {m+1, ..., m+k}, a subset of {1..m+k}."""
     _interval_params(m, k)
-    return Subset(m + k, tuple(range(m + 1, m + k + 1)))
+    return trusted(Subset, m + k, tuple(range(m + 1, m + k + 1)))
 
 
 def mixed_family_subset(k: int, m: int) -> Subset:
     """The staircase-then-interval subset {2, 4, ..., 2m, 2m+1, ..., m+k} of {1..m+k}."""
     _mixed_params(k, m)
-    elems = tuple(2 * i for i in range(1, m + 1)) + tuple(range(2 * m + 1, m + k + 1))
-    return Subset(m + k, elems)
+    return trusted(Subset, m + k, (*range(2, 2 * m + 1, 2), *range(2 * m + 1, m + k + 1)))
 
 
 def dim_catalan_family(k: int) -> int:

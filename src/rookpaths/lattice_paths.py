@@ -41,10 +41,10 @@ class Direction(Enum):
     INCREASING = "inc"
 
 
-_STEPS = {
-    Direction.DECREASING: frozenset({(1, 0), (0, -1)}),
-    Direction.INCREASING: frozenset({(1, 0), (0, 1)}),
-}
+def _checked_direction(direction) -> Direction:
+    if not isinstance(direction, Direction):
+        raise ValueError(f"bad direction {direction!r}")
+    return direction
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,10 @@ class HeightSequence:
     def __post_init__(self):
         heights = int_entries(self.heights, "heights must be nonnegative integers", 0)
         object.__setattr__(self, "heights", heights)
-        if not isinstance(self.direction, Direction):
-            raise ValueError(f"bad direction {self.direction!r}")
+        decreasing = _checked_direction(self.direction) is Direction.DECREASING
         if not heights:
             raise ValueError("height sequence must be nonempty")
-        if self.direction is Direction.DECREASING:
-            monotone = all(a >= b for a, b in zip(heights, heights[1:]))
-        else:
-            monotone = all(a <= b for a, b in zip(heights, heights[1:]))
-        if not monotone:
+        if list(heights) != sorted(heights, reverse=decreasing):
             raise ValueError(
                 f"heights {heights} are not monotone for direction {self.direction.value!r}"
             )
@@ -117,29 +112,19 @@ class LatticePath:
             raise ValueError("path mixes upward and downward steps")
         direction = self.direction
         if direction is None:
-            if (0, -1) in seen:
-                direction = Direction.DECREASING
-            elif (0, 1) in seen:
-                direction = Direction.INCREASING
-            else:
-                direction = Direction.DECREASING
-        object.__setattr__(self, "direction", direction)
-        allowed = _STEPS[direction]
-        x, y = start
-        for s in steps:
-            if s not in allowed:
-                raise ValueError(f"step {s} not allowed in a {direction.value} path")
-            x, y = x + s[0], y + s[1]
-            if y < 0:
-                raise ValueError("path leaves the closed first quadrant")
+            direction = Direction.INCREASING if (0, 1) in seen else Direction.DECREASING
+        object.__setattr__(self, "direction", _checked_direction(direction))
+        # The steps are now (1, 0) and one vertical unit: a step can be wrong
+        # only against the direction, and only descents lower the path.
+        wrong = (0, -1 if direction is Direction.INCREASING else 1)
+        if wrong in seen:
+            raise ValueError(f"step {wrong} not allowed in a {direction.value} path")
+        if steps.count((0, -1)) > start[1]:
+            raise ValueError("path leaves the closed first quadrant")
 
     def points(self) -> list[tuple[int, int]]:
-        pts = [self.start]
-        x, y = self.start
-        for dx, dy in self.steps:
-            x, y = x + dx, y + dy
-            pts.append((x, y))
-        return pts
+        return list(accumulate(self.steps, lambda p, s: (p[0] + s[0], p[1] + s[1]),
+                               initial=self.start))
 
     @property
     def end(self) -> tuple[int, int]:
@@ -149,36 +134,30 @@ class LatticePath:
 def path_from_heights(h: HeightSequence) -> LatticePath:
     """Canonical path of a height sequence: (0, h_1) -> (k, 0) when
     decreasing, (0, 0) -> (k, h_k) when increasing."""
+    decreasing = h.direction is Direction.DECREASING
+    level = h.heights[0] if decreasing else 0
+    start, unit = (0, level), (0, -1 if decreasing else 1)
     steps: list[tuple[int, int]] = []
-    if h.direction is Direction.DECREASING:
-        start = (0, h.heights[0])
-        level = h.heights[0]
-        for height in h.heights:
-            steps.extend([(0, -1)] * (level - height))
-            steps.append((1, 0))
-            level = height
-        steps.extend([(0, -1)] * level)
-    else:
-        start = (0, 0)
-        level = 0
-        for height in h.heights:
-            steps.extend([(0, 1)] * (height - level))
-            steps.append((1, 0))
-            level = height
-    return LatticePath(start, tuple(steps), h.direction)
+    for height in h.heights:
+        steps.extend([unit] * abs(height - level))
+        steps.append((1, 0))
+        level = height
+    if decreasing:
+        steps.extend([unit] * level)
+    return trusted(LatticePath, start, tuple(steps), h.direction)
 
 
 def heights_from_path(p: LatticePath) -> HeightSequence:
     """Heights of the horizontal steps; inverts path_from_heights."""
     heights = []
-    x, y = p.start
+    y = p.start[1]
     for dx, dy in p.steps:
         if dx == 1:
             heights.append(y)
-        x, y = x + dx, y + dy
+        y += dy
     if not heights:
         raise ValueError("path has no horizontal steps, so no height sequence")
-    return HeightSequence(p.direction, tuple(heights))
+    return trusted(HeightSequence, p.direction, tuple(heights))
 
 
 def is_below(u: HeightSequence, v: HeightSequence) -> bool:

@@ -95,7 +95,7 @@ def to_rook_matrix(f: PartialInjection) -> IntMatrix:
     rows = [[0] * f.n for _ in range(f.n)]
     for src, img in f.pairs:
         rows[img - 1][src - 1] = 1
-    return IntMatrix(tuple(tuple(r) for r in rows))
+    return trusted(IntMatrix, tuple(map(tuple, rows)))
 
 
 def format_two_line(f: PartialInjection) -> str:
@@ -161,6 +161,8 @@ def enumerate_icn(n: int, cap: int | None = None) -> list[PartialInjection]:
     no map past the cap is built.
     """
     n = _icn_size(n)
+    if cap is not None:
+        int_entries((cap,), "cap must be a positive count", 1)
     domains = sorted(
         chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1))
     )

@@ -2,23 +2,43 @@
 
 Each test rebuilds every derived value of a small exhaustive range through
 its public constructor, which runs every check, and asserts that it comes
-out equal: the same fields, of the same types, set in the same order.
+out equal: the same fields, of the same types, set in the same order.  The
+builders that derive values are also run with the checks made to raise, and
+every value class is frozen.
 """
 
+from dataclasses import FrozenInstanceError, fields
+from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
+
+from conftest import all_partial_injections
 from rookpaths import (
     Direction,
     HeightSequence,
+    IntMatrix,
+    LatticePath,
+    ModuleVector,
     PartialInjection,
     Subset,
     act,
     basis_vector,
+    catalan_family_subset,
     compose,
+    dim_submodule,
     downset,
     enumerate_icn,
+    format_module_vector,
+    heights_from_path,
+    identity_map,
+    interval_family_subset,
     iter_below,
+    mixed_family_subset,
+    parse_module_vector,
+    path_from_heights,
     subset_meet,
+    to_rook_matrix,
 )
 from rookpaths.icn_modules import _heights_for_subset
 
@@ -92,3 +112,79 @@ def test_compose():
         for f in elements:
             for g in elements:
                 assert_checked(compose(f, g))
+
+
+def test_canonical_paths_and_their_heights():
+    for k in range(1, 6):
+        for heights in product(range(5), repeat=k):
+            for direction in Direction:
+                try:
+                    h = HeightSequence(direction, heights)
+                except ValueError:
+                    continue
+                p = path_from_heights(h)
+                again = LatticePath(p.start, p.steps, p.direction)
+                assert again == p, h
+                assert list(vars(again)) == list(vars(p))
+                assert_checked(heights_from_path(p))
+
+
+def test_rook_matrices_and_family_subsets():
+    for n in range(1, 4):
+        for f in all_partial_injections(n):
+            m = to_rook_matrix(f)
+            assert IntMatrix(m.entries) == m
+    for k in range(1, 8):
+        assert_checked(catalan_family_subset(k))
+        for m in range(6):
+            assert_checked(interval_family_subset(m, k))
+        for m in range(2, k + 1):
+            assert_checked(mixed_family_subset(k, m))
+    assert mixed_family_subset(5, 2) == Subset(7, (2, 4, 5, 6, 7))
+
+
+def test_derived_values_are_not_checked_again(monkeypatch):
+    boundaries = [HeightSequence.decreasing((3, 1, 1)), HeightSequence.increasing((0, 2, 2))]
+    paths = [path_from_heights(h) for h in boundaries]
+    f = identity_map(3)
+
+    def refuse(value):
+        raise AssertionError(f"{type(value).__name__} checked again")
+
+    for cls in (Subset, LatticePath, HeightSequence, IntMatrix):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert catalan_family_subset(3).elems == (2, 4, 6)
+    assert interval_family_subset(2, 3).elems == (3, 4, 5)
+    assert mixed_family_subset(4, 2).elems == (2, 4, 5, 6)
+    assert [path_from_heights(h) for h in boundaries] == paths
+    assert [heights_from_path(p) for p in paths] == boundaries
+    assert to_rook_matrix(f).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_value_classes_are_frozen():
+    s = Subset(4, (1,))
+    v = ModuleVector(4, {s: 1, Subset(4, (2,)): 0})
+    h = HeightSequence.decreasing((2, 1))
+    values = [h, path_from_heights(h), s, identity_map(2), IntMatrix(((1,),)), v]
+    for value in values:
+        for field in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+    with pytest.raises(FrozenInstanceError):
+        v.n = 5
+    # The terms are read-only, so a vector's dimension is that of its text.
+    with pytest.raises(TypeError):
+        v.terms[Subset(4, (4,))] = Fraction(0)
+    with pytest.raises(TypeError):
+        del v.terms[s]
+    assert dim_submodule(v) == dim_submodule(parse_module_vector(format_module_vector(v), 4)) == 1
+    # Equality, repr and hashing are those of the hand-written class.
+    assert v == ModuleVector(4, {s: Fraction(1)}) == parse_module_vector("1:{1}", 4)
+    assert v != ModuleVector(5, {Subset(5, (1,)): 1})
+    assert v != ModuleVector(4, {s: 2})
+    assert ModuleVector(4) == ModuleVector(4, {}) != ModuleVector(3)
+    assert (v == "1:{1}") is False
+    assert repr(v) == "ModuleVector(4, '1:{1}')"
+    assert repr(ModuleVector(3)) == "ModuleVector(3, '0')"
+    with pytest.raises(TypeError):
+        hash(v)

@@ -113,6 +113,19 @@ def test_path_validation():
             LatticePath((0, 0), (step,))
 
 
+def test_path_checks_its_direction():
+    # The rule and message of HeightSequence, not a KeyError.
+    for bad in ("dec", "inc", 0):
+        for build in (lambda d: LatticePath((0, 1), ((0, -1), (1, 0)), d),
+                      lambda d: HeightSequence(d, (1,))):
+            with pytest.raises(ValueError) as refused:
+                build(bad)
+            assert str(refused.value) == f"bad direction {bad!r}"
+    assert LatticePath((0, 1), ((0, -1), (1, 0))).direction is Direction.DECREASING
+    assert LatticePath((0, 0), ((1, 0), (0, 1))).direction is Direction.INCREASING
+    assert LatticePath((0, 0), ((1, 0),)).direction is Direction.DECREASING
+
+
 def test_round_trip_on_exhaustive_range():
     for k in range(1, 5):
         for heights in all_decreasing(k, 4):

@@ -164,6 +164,14 @@ def test_enumerate_icn_cap_is_a_prefix_of_the_listing():
             assert enumerate_icn(n, cap) == elements[:cap]
 
 
+def test_enumerate_icn_refuses_a_bad_cap():
+    # The cap rule of first_items, not islice's own error or a silent list.
+    for bad in (True, 0, -1, 2.5, "3"):
+        with pytest.raises(ValueError) as refused:
+            enumerate_icn(3, bad)
+        assert str(refused.value) == f"cap must be a positive count, got {bad!r}"
+
+
 def test_associativity_exhaustive():
     for n in range(1, 5):
         elements = enumerate_icn(n)
