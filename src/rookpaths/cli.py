@@ -304,8 +304,7 @@ def run(argv: list[str], out: TextIO | None = None, err: TextIO | None = None) -
     if args.json:
         print(json.dumps({"input": given, **fields}, separators=(",", ":")), file=out)
     else:
-        for line in lines:
-            print(line, file=out)
+        out.writelines([f"{line}\n" for line in lines])
         if fields.get("truncated"):
             print("output truncated at cap", file=err)
     return 0

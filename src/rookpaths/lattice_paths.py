@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, islice
+from functools import partial
+from itertools import accumulate, chain, islice
 from math import perm
-from operator import add, mul, sub
-from typing import Iterator, NamedTuple
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple
 
 from .exact_math import IntMatrix, binomial, catalan, det_exact, first_items, int_entries, trusted
 
@@ -107,8 +108,12 @@ class LatticePath:
         object.__setattr__(self, "steps", steps)
         if len(start) != 2 or start[0] != 0 or start[1] < 0:
             raise ValueError(f"path must start on the nonnegative y-axis, got {start}")
-        seen = {s for s in steps if s != (1, 0)}
-        if seen - {(0, -1)} and seen - {(0, 1)}:
+        seen = set(steps) - {(1, 0)}
+        odd = seen - {(0, 1), (0, -1)}
+        if odd:
+            step = next(s for s in steps if s in odd)
+            raise ValueError(f"step {step} is not a unit step (1, 0), (0, 1) or (0, -1)")
+        if len(seen) > 1:
             raise ValueError("path mixes upward and downward steps")
         direction = self.direction
         if direction is None:
@@ -273,48 +278,66 @@ def count_below_oracle(h: HeightSequence) -> int:
     return sum(cur)
 
 
+def _runs(bounds: tuple[int, ...], step: int | None) -> Iterator[Iterable[tuple[int, ...]]]:
+    """The tuples below bounds in runs that share all but their last entry:
+    decreasing ones for step None, and for step 0 or 1 increasing ones whose
+    entries rise by at least step, from x_1 >= step.
+
+    An odometer, not a recursion, so any length works.  It turns over the
+    first k - 1 entries only: after each prefix the rightmost entry below its
+    cap goes up by one and every entry after it drops to its least value (0,
+    the new entry, or the new entry plus 1, 2, ... when step is 1).  For each
+    prefix p the whole run of last entries y, 0..min(h_k, p_(k-1)) when
+    decreasing and p_(k-1) + step..h_k when increasing, is built at C speed
+    as the tuples p + (y,).
+    """
+    if len(bounds) < 2:
+        yield zip(range(step or 0, bounds[0] + 1)) if bounds else [()]
+        return
+    *head, top = bounds
+    decreasing = step is None
+    k = len(head)
+    x = list(range(1, k + 1)) if step else [0] * k
+    while True:
+        p = tuple(x)
+        last = range(min(top, x[-1]) + 1) if decreasing else range(x[-1] + step, top + 1)
+        yield map(p.__add__, zip(last))
+        i = k - 1
+        while i >= 0 and (x[i] >= head[i] or decreasing and i and x[i] >= x[i - 1]):
+            i -= 1
+        if i < 0:
+            return
+        x[i] += 1
+        least = 0 if decreasing else x[i]
+        x[i + 1 :] = range(least + 1, least + k - i) if step else [least] * (k - 1 - i)
+
+
 def iter_monotone_below(
     bounds: tuple[int, ...], direction: Direction
 ) -> Iterator[tuple[int, ...]]:
     """Yield every weakly monotone tuple x below the bounds h, in ascending
     lexicographic order: 0 <= x_i <= min(h_i, x_{i-1}) when decreasing,
     x_{i-1} <= x_i <= h_i (and 0 <= x_1) when increasing.  Increasing bounds
-    must themselves increase weakly, as height sequences and shifted subsets
-    s_i - i do.  The empty bound yields the empty tuple once.
-
-    An odometer, not a recursion, so any length works: after each tuple the
-    rightmost entry below its cap goes up by one and every entry after it
-    drops to its least value (0, or the new entry when increasing).
+    must themselves increase weakly, as height sequences do.  The empty bound
+    yields the empty tuple once.  The iterator is lazy and chains the runs
+    of _runs.
     """
-    decreasing = direction is Direction.DECREASING
-    k = len(bounds)
-    x = [0] * k
-    while True:
-        yield tuple(x)
-        i = k - 1
-        while i >= 0 and (x[i] >= bounds[i] or decreasing and i and x[i] >= x[i - 1]):
-            i -= 1
-        if i < 0:
-            return
-        x[i] += 1
-        x[i + 1 :] = [0 if decreasing else x[i]] * (k - 1 - i)
+    return chain.from_iterable(_runs(bounds, None if direction is Direction.DECREASING else 0))
 
 
 def iter_subsets_below(elems: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Yield every strictly increasing positive tuple t dominated by the
     strictly increasing positive tuple s = elems (t_i <= s_i), in ascending
-    lexicographic order.  Shifting by position, u_i = t_i - i, turns these
-    into the weakly increasing tuples u below s_i - i.
+    lexicographic order: the runs of _runs with step 1, so t_k runs over
+    t_(k-1) + 1..s_k.
     """
-    shift = range(1, len(elems) + 1)
-    for u in iter_monotone_below(tuple(map(sub, elems, shift)), Direction.INCREASING):
-        yield tuple(map(add, u, shift))
+    return chain.from_iterable(_runs(elems, 1))
 
 
 def iter_below(h: HeightSequence) -> Iterator[HeightSequence]:
     """Yield every sequence below h in ascending lexicographic order."""
-    return (trusted(HeightSequence, h.direction, x)
-            for x in iter_monotone_below(h.heights, h.direction))
+    return map(partial(trusted, HeightSequence, h.direction),
+               iter_monotone_below(h.heights, h.direction))
 
 
 class BelowEnumeration(NamedTuple):

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 from hypothesis import settings
 
 from rookpaths import (
+    Direction,
     HeightSequence,
     ModuleVector,
     PartialInjection,
@@ -33,6 +34,25 @@ def all_partial_injections(n):
             for img in permutations(universe, k):
                 out.append(PartialInjection(n, tuple(zip(dom, img))))
     return out
+
+
+def monotone_below_odometer(bounds, direction):
+    """Every weakly monotone tuple below bounds in ascending lexicographic
+    order, one item per step of an odometer: after each tuple the rightmost
+    entry below its cap goes up by one and every entry after it drops to its
+    least value (0, or the new entry when increasing)."""
+    decreasing = direction is Direction.DECREASING
+    k = len(bounds)
+    x = [0] * k
+    while True:
+        yield tuple(x)
+        i = k - 1
+        while i >= 0 and (x[i] >= bounds[i] or decreasing and i and x[i] >= x[i - 1]):
+            i -= 1
+        if i < 0:
+            return
+        x[i] += 1
+        x[i + 1:] = [0 if decreasing else x[i]] * (k - 1 - i)
 
 
 def random_subset(rng, n, max_size=None):

@@ -74,6 +74,22 @@ def test_paths_list_truncation():
     assert payload["truncated"] is True
 
 
+def test_listing_text_is_the_json_items_one_a_line():
+    for argv, truncated in [
+        (["paths-list", "--dir", "inc", "--heights", "1,2,3,4,5,7,8", "--cap", "1000000"], False),
+        (["paths-list", "--dir", "dec", "--heights", "4,4,2,1", "--cap", "30"], True),
+        (["monoid-list", "--n", "6", "--cap", "1000"], False),
+        (["monoid-list", "--n", "6", "--cap", "100"], True),
+    ]:
+        code, out, err = invoke(argv)
+        _, payload = plain_and_json(argv)
+        lines = [item if isinstance(item, str) else ",".join(map(str, item))
+                 for item in payload["items"]]
+        assert code == 0 and payload["truncated"] is truncated, argv
+        assert out == "\n".join(lines) + "\n", argv
+        assert err == ("output truncated at cap\n" if truncated else ""), argv
+
+
 # --------------------------------------------------------------- dimensions
 
 

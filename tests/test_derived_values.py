@@ -7,6 +7,8 @@ builders that derive values are also run with the checks made to raise, and
 every value class is frozen.
 """
 
+import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from itertools import combinations, product
@@ -40,6 +42,7 @@ from rookpaths import (
     subset_meet,
     to_rook_matrix,
 )
+from rookpaths.exact_math import trusted
 from rookpaths.icn_modules import _heights_for_subset
 
 
@@ -141,6 +144,42 @@ def test_rook_matrices_and_family_subsets():
         for m in range(2, k + 1):
             assert_checked(mixed_family_subset(k, m))
     assert mixed_family_subset(5, 2) == Subset(7, (2, 4, 5, 6, 7))
+
+
+def per_instance_bytes(build, n=1000):
+    """Traced bytes that n values from build() keep alive, per value: the
+    least of three runs, so that a first run's warm-up does not count."""
+    least = float("inf")
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [build() for _ in range(n)]
+            least = min(least, (tracemalloc.get_traced_memory()[0] - before) / n)
+        finally:
+            tracemalloc.stop()
+        del kept
+    return least
+
+
+def test_trusted_values_share_their_keys():
+    # A value whose fields went in through its __dict__ keeps a dict object
+    # of its own (about 60 bytes more); one whose fields were set in
+    # declaration order keeps them inline, as a checked one does.  A checked
+    # value may hold fresh copies of its fields, so it may take more.
+    cases = [
+        (HeightSequence, (Direction.DECREASING, (2, 1))),
+        (LatticePath, ((0, 1), ((0, -1), (1, 0)), Direction.DECREASING)),
+        (IntMatrix, (((1, 2), (3, 4)),)),
+        (Subset, (3, (1, 3))),
+        (PartialInjection, (3, ((2, 1),))),
+    ]
+    for cls, values in cases:
+        made, checked = trusted(cls, *values), cls(*values)
+        assert made == checked
+        assert sys.getsizeof(vars(made)) == sys.getsizeof(vars(checked)), cls
+        assert (per_instance_bytes(lambda: trusted(cls, *values))
+                <= per_instance_bytes(lambda: cls(*values))), cls
 
 
 def test_derived_values_are_not_checked_again(monkeypatch):

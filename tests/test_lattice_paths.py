@@ -1,10 +1,18 @@
 import random
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, islice, product
 from operator import sub
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import cor35_rhs_literal, gammas_literal, hessenberg_det_literal, mixed_family_literal
+from conftest import (
+    cor35_rhs_literal,
+    gammas_literal,
+    hessenberg_det_literal,
+    mixed_family_literal,
+    monotone_below_odometer,
+)
 from rookpaths import (
     Direction,
     HeightSequence,
@@ -26,10 +34,11 @@ from rookpaths import (
     verify_identity_cor35,
 )
 from rookpaths import lattice_paths
-from rookpaths.lattice_paths import _flat_staircase_count
+from rookpaths.lattice_paths import _flat_staircase_count, iter_monotone_below, iter_subsets_below
 
 dec = HeightSequence.decreasing
 inc = HeightSequence.increasing
+DEC, INC = Direction.DECREASING, Direction.INCREASING
 
 
 def all_decreasing(k, top):
@@ -111,6 +120,11 @@ def test_path_validation():
     for step in [(True, 0), (1.0, 0)]:
         with pytest.raises(ValueError, match="integers"):
             LatticePath((0, 0), (step,))
+    # A step that is no unit step is named as such, not as a mixed path.
+    for step in [(2, 0), (1, 1), (0, 2), (-1, 0)]:
+        with pytest.raises(ValueError) as refused:
+            LatticePath((0, 3), ((1, 0), (0, -1), step, (0, 1)))
+        assert str(refused.value) == f"step {step} is not a unit step (1, 0), (0, 1) or (0, -1)"
 
 
 def test_path_checks_its_direction():
@@ -391,21 +405,46 @@ def test_enumerate_below_listing_bound(monkeypatch):
 
 
 def test_iter_below_matches_lexicographic_brute_force():
-    # product() lists tuples lexicographically, so filtering it gives the
-    # expected listing in both content and order.
-    for k in range(1, 5):
-        for bound in combinations_with_replacement(range(4), k):
-            for h in (inc(bound), dec(bound[::-1])):
-                step = -1 if h.direction is Direction.DECREASING else 1
+    # product() and combinations() list tuples lexicographically, so
+    # filtering them gives the expected listing in both content and order.
+    for k in range(6):
+        for bound in combinations_with_replacement(range(5), k):
+            for direction, h in ((INC, bound), (DEC, bound[::-1])):
+                step = -1 if direction is DEC else 1
                 expected = [
                     x
-                    for x in product(range(max(bound) + 1), repeat=k)
-                    if all(a <= b for a, b in zip(x, h.heights))
+                    for x in product(range(max(bound, default=0) + 1), repeat=k)
+                    if all(a <= b for a, b in zip(x, h))
                     and all(step * (b - a) >= 0 for a, b in zip(x, x[1:]))
                 ]
-                listed = [u.heights for u in iter_below(h)]
-                assert listed == expected, h
-                assert all(u.direction is h.direction for u in iter_below(h))
+                assert list(iter_monotone_below(h, direction)) == expected, h
+                if k:
+                    below = list(iter_below(HeightSequence(direction, h)))
+                    assert [u.heights for u in below] == expected, h
+                    assert all(u.direction is direction for u in below)
+    for k in range(10):
+        for s in combinations(range(1, 10), k):
+            expected = [t for t in combinations(range(1, 10), k)
+                        if all(a <= b for a, b in zip(t, s))]
+            assert list(iter_subsets_below(s)) == expected, s
+
+
+@given(st.sampled_from([DEC, INC]),
+       st.lists(st.integers(0, 6), max_size=8).map(lambda xs: tuple(sorted(xs))))
+def test_runs_of_the_last_entry_match_the_per_item_odometer(direction, bound):
+    h = bound[::-1] if direction is DEC else bound
+    assert list(iter_monotone_below(h, direction)) == list(monotone_below_odometer(h, direction))
+
+
+def test_enumerator_edge_cases():
+    for direction in (DEC, INC):
+        assert list(iter_monotone_below((), direction)) == [()]
+        # An odometer, not a recursion: 20,000 entries list at once.
+        assert list(iter_monotone_below((0,) * 20_000, direction)) == [(0,) * 20_000]
+    assert list(iter_subsets_below(())) == [()]
+    assert list(iter_subsets_below((3,))) == [(1,), (2,), (3,)]
+    # A run of last entries is lazy: the first items come from a run of 10^30 + 1.
+    assert list(islice(iter_monotone_below((5, 10**30), INC), 3)) == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_enumeration_size_matches_count():
