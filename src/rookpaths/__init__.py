@@ -49,6 +49,7 @@ from .icn_modules import (
     dim_mixed_family,
     dim_principal_incl_excl,
     dim_principal_iterative,
+    dim_principal_oracle,
     dim_submodule,
     dim_submodule_oracle,
     downset,

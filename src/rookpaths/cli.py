@@ -18,9 +18,9 @@ from typing import TextIO
 from .exact_math import bad_int_message, first_items, hockey_stick_sides, parse_ints, quoted
 from .icn_modules import (
     Subset,
-    basis_vector,
     dim_principal_incl_excl,
     dim_principal_iterative,
+    dim_principal_oracle,
     dim_submodule,
     dim_submodule_oracle,
     format_module_vector,
@@ -91,7 +91,7 @@ _ROUTES = {
         {
             "iterative": lambda s: dim_principal_iterative(s),
             "determinant": lambda s: dim_principal_incl_excl(s),
-            "oracle": lambda s: dim_submodule_oracle(basis_vector(s)),
+            "oracle": lambda s: dim_principal_oracle(s),
         },
         lambda s: "iterative",
     ),
@@ -164,7 +164,8 @@ def _cmd_paths_list(args):
     items, truncated = enumerate_below(h, args.cap)
     given = {"dir": args.dir, "heights": list(h.heights), "cap": args.cap}
     fields = {"items": [x.heights for x in items], "truncated": truncated}
-    return given, fields, (",".join(map(str, x.heights)) for x in items)
+    line = ",".join(["%d"] * len(h))
+    return given, fields, map(line.__mod__, fields["items"])
 
 
 def _cmd_dim_subset(args):

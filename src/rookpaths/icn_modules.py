@@ -16,6 +16,8 @@ Dimension routes provided:
   * dim_submodule            -- inclusion-exclusion over the reduced support
     for an arbitrary vector, kept as one signed coefficient per distinct
     meet of generators instead of one term per set of generators,
+  * dim_principal_oracle     -- a dynamic program over the elements of S that
+    counts the subsets T <= S directly,
   * dim_submodule_oracle     -- brute force: the union of the terms' downsets.
 """
 
@@ -42,6 +44,7 @@ from .exact_math import (
 from .lattice_paths import (
     Direction,
     HeightSequence,
+    _count_below,
     _flat_staircase_count,
     count_below_decreasing_iterative,
     iter_subsets_below,
@@ -359,6 +362,16 @@ def _within_budget(work: int) -> int:
             f"reduced-support and inclusion-exclusion work exceeds bound {MAX_SUBMODULE_WORK}"
         )
     return work
+
+
+def dim_principal_oracle(s: Subset) -> int:
+    """Dimension of the module generated by v_S: the number of subsets
+    T <= S, counted by the paths oracle's dynamic program over the elements
+    of S with t_1 >= 1 and t_(i+1) > t_i.  It takes no height sequence,
+    binomial or meet, so it checks the other routes.  Subsets with more than
+    MAX_ORACLE_CELLS cells sum(s_i - i + 1) are refused before anything is
+    allocated."""
+    return _count_below(s.elems, 1)
 
 
 def dim_submodule_oracle(v: ModuleVector) -> int:

@@ -21,9 +21,12 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .exact_math import IntMatrix, binomial, catalan, det_exact, first_items, int_entries, trusted
 
-# The DP oracle's work and table are bounded by its sum(h_i + 1) cells.  At
-# 10^7 cells the slowest shapes measured on CPython 3.11 took about 2.3 s (a
-# staircase) and 245 MB (two equal heights).
+# The DP oracle's work and table are bounded by its sum(h_i + 1) cells, or
+# sum(s_i - i + 1) for a subset s.  At 10^7 cells the slowest shapes measured
+# on CPython 3.11 (2-vCPU VM) took about 3 s (the staircase k = 4470, and so
+# the even staircase {2, 4, ..., 8940}) and 245 MB (two equal heights, or two
+# adjacent elements); the slowest other subsets, the top 2000 of {1..7000} and
+# the top 3100 of {1..6300}, took about 2 s.
 MAX_ORACLE_CELLS = 10_000_000
 # The staircase recursion of mixed family (k, m) takes m^2 products of
 # O(m b)-bit integers, b the bit length of k, by O(m)-bit table entries, and
@@ -257,31 +260,44 @@ def count_below_oracle(h: HeightSequence) -> int:
     """Count monotone sequences mu with 0 <= mu_i <= h_i by dynamic programming.
 
     Works for either direction and is independent of both closed-form routes,
-    which are cross-checked against it.  An increasing boundary is counted as
+    which are cross-checked against it.  A decreasing boundary is counted as
     its mirror: reading right to left maps the sequences below one onto the
     sequences below the other.  Boundaries with more than MAX_ORACLE_CELLS
     cells sum(h_i + 1) are refused before anything is allocated.
     """
-    if sum(h.heights) + len(h) > MAX_ORACLE_CELLS:
-        raise ValueError(f"oracle cells sum(h_i + 1) exceed bound {MAX_ORACLE_CELLS}")
-    if h.direction is Direction.INCREASING:
-        h = h.mirror()
     hs = h.heights
-    # cur[m] counts the admissible prefixes ending in m; the next entry is at
-    # most m, so the next counts are suffix sums of these.  Reversing and
-    # truncating in place keeps at most two rows alive.
-    cur = [1] * (hs[0] + 1)
-    for bound in hs[1:]:
-        cur = list(accumulate(reversed(cur)))
-        cur.reverse()
-        del cur[bound + 1 :]
-    return sum(cur)
+    return _count_below(hs if h.direction is Direction.INCREASING else hs[::-1], 0)
+
+
+def _count_below(bounds: tuple[int, ...], step: int) -> int:
+    """Number of the tuples _runs(bounds, step) lists for increasing bounds:
+    the x with x_i <= b_i and 0 <= x_1 <= ... <= x_k for step 0, or
+    1 <= x_1 < ... < x_k for step 1.  The empty bound has one, the empty
+    tuple.
+
+    For step 1 the tuples x_i - i are those of step 0 below b_i - i, so the
+    rows carry no entry a strictly increasing prefix cannot reach.  row[m]
+    counts the admissible prefixes ending in m, starting from the one empty
+    prefix as row = [1]; the next entry is at least m, so the next row is
+    the prefix sums of this one, padded with the full sum to the next top.
+    Bounds with more than MAX_ORACLE_CELLS cells sum(b_i - step * i + 1) are
+    refused before anything is allocated.
+    """
+    tops = [b - i for i, b in enumerate(bounds, 1)] if step else bounds
+    if sum(tops) + len(tops) > MAX_ORACLE_CELLS:
+        raise ValueError(f"oracle cells sum(h_i + 1) exceed bound {MAX_ORACLE_CELLS}")
+    row = [1]
+    for top in tops:
+        row = list(accumulate(row))
+        row += [row[-1]] * (top + 1 - len(row))
+    return sum(row)
 
 
 def _runs(bounds: tuple[int, ...], step: int | None) -> Iterator[Iterable[tuple[int, ...]]]:
     """The tuples below bounds in runs that share all but their last entry:
     decreasing ones for step None, and for step 0 or 1 increasing ones whose
-    entries rise by at least step, from x_1 >= step.
+    entries rise by at least step, from x_1 >= step.  Increasing bounds must
+    rise by at least step too, from b_1 >= step.
 
     An odometer, not a recursion, so any length works.  It turns over the
     first k - 1 entries only: after each prefix the rightmost entry below its

@@ -258,6 +258,15 @@ def test_usage_errors_exit_1():
         assert err
 
 
+def test_subset_check_answers_where_the_downset_walk_refused():
+    # 9.8 * 10^9 subsets lie below this one: the subset oracle counts them by
+    # its DP in a few milliseconds, where the walk stopped at its bound.
+    set_text = "20,25,30,35,40,45,50,55,60"
+    for method in ("auto", "determinant", "oracle"):
+        argv = ["dim-subset", "--n", "60", "--set", set_text, "--method", method, "--check"]
+        assert invoke(argv) == (0, "9835923040\n", ""), method
+
+
 def test_domain_errors_exit_2():
     for argv in [
         ["paths-count", "--dir", "dec", "--heights", "1,5"],
@@ -272,8 +281,12 @@ def test_domain_errors_exit_2():
         ["dim-subset", "--n", "8", "--set", "3,3"],
         ["dim-subset", "--n", "4", "--set", "9"],
         ["dim-vector", "--n", "7", "--vector", "1:{1"],
-        # Over the oracle's walk bound: 9.8 * 10^9 subsets lie below this one.
-        ["dim-subset", "--n", "60", "--set", "20,25,30,35,40,45,50,55,60", "--check"],
+        # Over the subset oracle's cell bound, refused before any table is
+        # allocated.
+        ["dim-subset", "--n", "9223372036854775808", "--set", "9223372036854775808", "--check"],
+        # Over the vector oracle's walk bound: 9.8 * 10^9 subsets lie below
+        # this one generator.
+        ["dim-vector", "--n", "60", "--vector", "1:{20,25,30,35,40,45,50,55,60}", "--check"],
         # Over the inclusion-exclusion work bound: 2^13 - 1 distinct meets.
         ["dim-vector", "--n", "26", "--vector",
          ";".join("1:{%s}" % ",".join(map(str, g)) for g in independent_antichain(13))],
@@ -421,8 +434,10 @@ def test_answers_longer_than_the_string_conversion_limit_print_exactly():
 
 @pytest.fixture
 def off_by_one_oracles(monkeypatch):
-    count, dim = cli.count_below_oracle, cli.dim_submodule_oracle
+    count, dim_subset, dim = (
+        cli.count_below_oracle, cli.dim_principal_oracle, cli.dim_submodule_oracle)
     monkeypatch.setattr(cli, "count_below_oracle", lambda h: count(h) + 1)
+    monkeypatch.setattr(cli, "dim_principal_oracle", lambda s: dim_subset(s) + 1)
     monkeypatch.setattr(cli, "dim_submodule_oracle", lambda v: dim(v) + 1)
 
 

@@ -25,6 +25,7 @@ from rookpaths import (
     dim_mixed_family,
     dim_principal_incl_excl,
     dim_principal_iterative,
+    dim_principal_oracle,
     dim_submodule,
     dim_submodule_oracle,
     downset,
@@ -47,7 +48,8 @@ from rookpaths.icn_modules import (
     MAX_ORACLE_WALK,
     MAX_SUBMODULE_WORK,
 )
-from rookpaths.lattice_paths import MAX_STAIRCASE_WORK
+from rookpaths import lattice_paths
+from rookpaths.lattice_paths import MAX_ORACLE_CELLS, MAX_STAIRCASE_WORK
 
 SIGMA = PartialInjection(4, ((1, 1), (3, 2), (4, 3)))
 
@@ -514,6 +516,40 @@ def test_dim_submodule_oracle_bound(monkeypatch):
     for text in ["1:{3,5,7}", "1:{2,4,6};1:{3,6}"]:
         with pytest.raises(ValueError, match="^oracle walk exceeds bound 25 subsets of up to 3"):
             dim_submodule_oracle(parse_module_vector(text, 8))
+
+
+def test_dim_principal_oracle_counts_the_walked_downset():
+    for k in range(10):
+        for elems in combinations(range(1, 10), k):
+            s = Subset(9, elems)
+            assert dim_principal_oracle(s) == dim_submodule_oracle(basis_vector(s)), elems
+
+
+def test_dim_principal_oracle_shares_no_code_with_the_other_routes(monkeypatch):
+    # No height sequence, no binomial and no meet, so it checks both the
+    # iterative route and inclusion-exclusion.
+    def broken(*args):
+        raise AssertionError("called")
+
+    for name in ("_heights_for_subset", "binomial", "subset_meet", "iter_downset"):
+        monkeypatch.setattr(icn_modules, name, broken)
+    monkeypatch.setattr(lattice_paths, "binomial", broken)
+    assert dim_principal_oracle(catalan_family_subset(30)) == catalan(31)
+    assert dim_principal_oracle(interval_family_subset(40, 30)) == binomial(70, 30)
+    # Past the downset walk: 9.8 * 10^9 subsets lie below this one.
+    assert dim_principal_oracle(Subset(60, tuple(range(20, 61, 5)))) == 9835923040
+
+
+def test_dim_principal_oracle_cell_bound():
+    # Cells sum(s_i - i + 1), refused before any table is allocated: 2^63,
+    # and 10,001,000 for the top 1000 of {1..11000}.
+    for s in (Subset(2**63, (2**63,)), Subset(11000, tuple(range(10001, 11001)))):
+        with pytest.raises(ValueError, match=f"exceed bound {MAX_ORACLE_CELLS}"):
+            dim_principal_oracle(s)
+    # Every subset the walk answers fits: its cells are at most its downset
+    # plus its size.  {1..5000} is alone below itself, in 5000 cells.
+    s = Subset(5000, tuple(range(1, 5001)))
+    assert dim_principal_oracle(s) == dim_submodule_oracle(basis_vector(s)) == 1
 
 
 def test_dim_submodule_work_bound(monkeypatch):

@@ -1,5 +1,7 @@
 import random
-from itertools import accumulate, combinations, combinations_with_replacement, islice, product
+from itertools import (
+    accumulate, chain, combinations, combinations_with_replacement, islice, product
+)
 from operator import sub
 
 import pytest
@@ -34,7 +36,13 @@ from rookpaths import (
     verify_identity_cor35,
 )
 from rookpaths import lattice_paths
-from rookpaths.lattice_paths import _flat_staircase_count, iter_monotone_below, iter_subsets_below
+from rookpaths.lattice_paths import (
+    _count_below,
+    _flat_staircase_count,
+    _runs,
+    iter_monotone_below,
+    iter_subsets_below,
+)
 
 dec = HeightSequence.decreasing
 inc = HeightSequence.increasing
@@ -297,6 +305,46 @@ def test_oracle_refuses_boundaries_over_its_cell_bound():
         count_below_oracle(dec((2**63,)))
     with pytest.raises(ValueError, match="exceed bound 10000000"):
         count_below_oracle(inc((0, 2**64)))
+    for step in (0, 1):
+        with pytest.raises(ValueError, match="exceed bound 10000000"):
+            _count_below((2**63,), step)
+
+
+def listed(bounds, step):
+    return sum(1 for _ in chain.from_iterable(_runs(bounds, step)))
+
+
+def takes_step(bounds, step):
+    """True iff bounds rise by at least step from b_1 >= step, as _runs needs."""
+    return all(b - a >= step for a, b in zip((0, *bounds), bounds))
+
+
+def test_stepped_dp_counts_what_the_runs_list():
+    bounds = [b for k in range(5) for b in combinations_with_replacement(range(7), k)]
+    subsets = [s for k in range(10) for s in combinations(range(1, 10), k)]
+    for b in bounds + subsets:
+        for step in (0, 1):
+            if takes_step(b, step):
+                assert _count_below(b, step) == listed(b, step), (b, step)
+    assert _count_below((), 0) == _count_below((), 1) == 1
+
+
+@given(st.one_of(
+    st.lists(st.integers(0, 5), max_size=14).map(lambda xs: (tuple(sorted(xs)), 0)),
+    st.sets(st.integers(1, 15)).map(lambda s: (tuple(sorted(s)), 1)),
+))
+def test_stepped_dp_counts_what_the_runs_list_on_longer_bounds(bounds_and_step):
+    assert _count_below(*bounds_and_step) == listed(*bounds_and_step)
+
+
+def test_stepped_dp_cells_skip_what_a_strict_prefix_cannot_reach(monkeypatch):
+    # Step 1 counts its cells on the shifted tops b_i - i: 1, 2, 3 here, so 9
+    # cells and not sum(b_i + 1) = 15.
+    monkeypatch.setattr(lattice_paths, "MAX_ORACLE_CELLS", 9)
+    assert _count_below((2, 4, 6), 1) == 14
+    monkeypatch.setattr(lattice_paths, "MAX_ORACLE_CELLS", 8)
+    with pytest.raises(ValueError, match="exceed bound 8"):
+        _count_below((2, 4, 6), 1)
 
 
 def test_mirror_symmetry_exhaustive():

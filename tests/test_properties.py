@@ -31,6 +31,7 @@ from rookpaths import (
     count_below_oracle,
     det_exact,
     dim_principal_incl_excl,
+    dim_principal_oracle,
     dim_submodule,
     dim_submodule_oracle,
     downset,
@@ -167,6 +168,12 @@ def test_determinant_route_matches_the_oracle(a):
 @given(subsets_of_14)
 def test_inclusion_exclusion_matches_the_downset(s):
     assert dim_principal_incl_excl(s) == len(downset(s))
+
+
+@given(st.sets(st.integers(1, 60), max_size=30))
+def test_subset_oracle_matches_inclusion_exclusion(elems):
+    s = Subset(60, tuple(sorted(elems)))
+    assert dim_principal_oracle(s) == dim_principal_incl_excl(s)
 
 
 @given(antichain_vectors())
