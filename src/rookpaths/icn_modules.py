@@ -368,9 +368,9 @@ def dim_principal_oracle(s: Subset) -> int:
     """Dimension of the module generated by v_S: the number of subsets
     T <= S, counted by the paths oracle's dynamic program over the elements
     of S with t_1 >= 1 and t_(i+1) > t_i.  It takes no height sequence,
-    binomial or meet, so it checks the other routes.  Subsets with more than
-    MAX_ORACLE_CELLS cells sum(s_i - i + 1) are refused before anything is
-    allocated."""
+    binomial or meet, so it checks the other routes.  Subsets whose plan,
+    on the tops s_i - i or their conjugate, is estimated over
+    MAX_ORACLE_CELLS cells are refused before any row is allocated."""
     return _count_below(s.elems, 1)
 
 

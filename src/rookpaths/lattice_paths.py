@@ -11,22 +11,27 @@ determinant, and a direct dynamic-programming count that serves as the oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from math import perm
-from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from operator import add, gt, itemgetter, lt, mul, sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact_math import IntMatrix, binomial, catalan, det_exact, first_items, int_entries, trusted
 
-# The DP oracle's work and table are bounded by its sum(h_i + 1) cells, or
-# sum(s_i - i + 1) for a subset s.  At 10^7 cells the slowest shapes measured
-# on CPython 3.11 (2-vCPU VM) took about 3 s (the staircase k = 4470, and so
-# the even staircase {2, 4, ..., 8940}) and 245 MB (two equal heights, or two
-# adjacent elements); the slowest other subsets, the top 2000 of {1..7000} and
-# the top 3100 of {1..6300}, took about 2 s.
+# The DP oracle's work and rows are bounded by its plan's estimate in cells
+# (see _oracle_plan): L (t + 1) for a run of L tops t taken one prefix sum
+# at a time, and n^2 b w^2 for a run squared, n = t + 1 and b the bit length
+# of L: about n^2 b products, each charged w^2, w = B // 1024 + 1, for
+# numbers of up to B bits.  At 10^7 cells the slowest shapes measured on
+# CPython 3.11 (2-vCPU VM) took about 2.7 s (the staircase k = 4470, and so
+# the even staircase {2, 4, ..., 8940}) and 77 MB (the tops 1024, 2048, ...,
+# 139 * 1024, which no squared run shortens); the slowest squared one, 300
+# heights of 2^15, about 0.95 s.  Two equal heights, which took 245 MB one
+# prefix sum a top, are one short squared run of their conjugate.
 MAX_ORACLE_CELLS = 10_000_000
 # The staircase recursion of mixed family (k, m) takes m^2 products of
 # O(m b)-bit integers, b the bit length of k, by O(m)-bit table entries, and
@@ -224,14 +229,29 @@ def count_below_decreasing_iterative(lam: HeightSequence) -> int:
     so it is the last coefficient of lam with h_k repeated.  Hence
         count = (h_k+1) gamma_k + gamma_{k+1} + sum_{i<k} C(h_i+k-i+1, k+1-i) gamma_i,
     which is also the direct count h_1 + 1 at k = 1, where gamma_2 = 0.
+
+    The last sum's terms C(h_i + r, r), r = k + 1 - i, are walked along i as
+    the gamma rows are: the step to i + 1 lowers r by 1 and h_i by the drop
+    d = h_i - h_(i+1), so C(x + r, r) becomes C(x - d + r - 1, r - 1) =
+    C(x + r, r) r perm(x, d) / ((x + r) perm(x + r - 1, d)), 2d small
+    factors where a fresh binomial takes r - 1 up and down.  So the first
+    term, and a term after a drop larger than its bottom, are taken afresh.
     """
     _require_direction(lam, Direction.DECREASING, "iterative count")
     h = lam.heights
     k = len(h)
     g = compute_gammas(trusted(HeightSequence, Direction.DECREASING, h + h[-1:]))
-    return (h[-1] + 1) * g[k - 1] + g[k] + sum(
-        binomial(h[i - 1] + k - i + 1, k + 1 - i) * g[i - 1] for i in range(1, k)
-    )
+    total = (h[-1] + 1) * g[k - 1] + g[k]
+    term = 0
+    for i in range(k - 1):  # term = C(h[i] + r, r)
+        r, x = k - i, h[i - 1]
+        d = x - h[i]
+        if i and d <= r:
+            term = term * (r + 1) * perm(x, d) // ((x + r + 1) * perm(x + r, d))
+        else:
+            term = binomial(h[i] + r, r)
+        total += term * g[i]
+    return total
 
 
 def count_below_increasing_determinant(a: HeightSequence) -> int:
@@ -262,8 +282,9 @@ def count_below_oracle(h: HeightSequence) -> int:
     Works for either direction and is independent of both closed-form routes,
     which are cross-checked against it.  A decreasing boundary is counted as
     its mirror: reading right to left maps the sequences below one onto the
-    sequences below the other.  Boundaries with more than MAX_ORACLE_CELLS
-    cells sum(h_i + 1) are refused before anything is allocated.
+    sequences below the other.  Boundaries whose plan, on the heights or
+    their conjugate, is estimated over MAX_ORACLE_CELLS cells are refused
+    before any row is allocated.
     """
     hs = h.heights
     return _count_below(hs if h.direction is Direction.INCREASING else hs[::-1], 0)
@@ -275,22 +296,104 @@ def _count_below(bounds: tuple[int, ...], step: int) -> int:
     1 <= x_1 < ... < x_k for step 1.  The empty bound has one, the empty
     tuple.
 
-    For step 1 the tuples x_i - i are those of step 0 below b_i - i, so the
-    rows carry no entry a strictly increasing prefix cannot reach.  row[m]
-    counts the admissible prefixes ending in m, starting from the one empty
-    prefix as row = [1]; the next entry is at least m, so the next row is
-    the prefix sums of this one, padded with the full sum to the next top.
-    Bounds with more than MAX_ORACLE_CELLS cells sum(b_i - step * i + 1) are
-    refused before anything is allocated.
+    For step 1 the tuples x_i - i are those of step 0 below the tops
+    b_i - i, so the rows carry no entry a strictly increasing prefix cannot
+    reach.  row[m] counts the admissible prefixes ending in m, starting from
+    the one empty prefix as row = [1]; the next entry is at least m, so a
+    top t pads the row with zeros to t + 1 entries and takes its prefix
+    sums.  A run of L equal tops takes L of them, which is the product of
+    the row with the first t + 1 coefficients of (1 + x + x^2 + ...)^L;
+    _oracle_plan says which runs take that product and in which of the
+    tops and their conjugate.  Plans whose estimate exceeds
+    MAX_ORACLE_CELLS are refused before anything is allocated.
     """
     tops = [b - i for i, b in enumerate(bounds, 1)] if step else bounds
-    if sum(tops) + len(tops) > MAX_ORACLE_CELLS:
-        raise ValueError(f"oracle cells sum(h_i + 1) exceed bound {MAX_ORACLE_CELLS}")
+    cells, steps = _oracle_plan(tops)
+    if cells > MAX_ORACLE_CELLS:
+        raise ValueError(f"oracle cells exceed bound {MAX_ORACLE_CELLS}")
     row = [1]
-    for top in tops:
-        row = list(accumulate(row))
-        row += [row[-1]] * (top + 1 - len(row))
+    for top, power in steps:
+        row += [0] * (top + 1 - len(row))
+        row = list(accumulate(row)) if power == 1 else _times_prefix_sum_power(row, power)
     return sum(row)
+
+
+def _oracle_plan(tops: Sequence[int]) -> tuple[int, Iterable[tuple[int, int]]]:
+    """(cells, steps) of the cheaper way to count below the weakly
+    increasing tops: each step (t, p) pads the row to t + 1 entries and
+    takes p prefix sums.
+
+    The conjugate of tops t_1 <= ... <= t_k, the number of tops >= v for
+    v = t_k, ..., 1, has the same count (transpose the Ferrers diagram): a
+    run of L equal tops becomes a gap of L, and a gap of g between distinct
+    tops (t_0 = 0) a run of g.  In either, a run of L tops t costs L (t + 1)
+    cells one prefix sum at a time, or is squared at the charge of
+    _run_plan, which pays only for L > 2 (t + 1).  Such a run of the tops
+    holds an even index 2m > 2t, so t_(2m) < m; such a run of the conjugate
+    is fewer than m tops >= t_k - 2m for some m, so t_k >= 2k + 3 or
+    t_(k-m) < t_k - 2m.  Without either, and with k <= t_k rows, the plan is
+    one prefix sum a top, found without listing the runs.
+    """
+    k = len(tops)
+    if not k or (
+        k <= tops[-1] <= 2 * k + 2
+        and min(map(sub, tops, range(0, 2 * k, 2))) >= tops[-1] - 2 * k
+        and not any(map(lt, tops[::2], range(k)))
+    ):
+        return sum(tops) + k, zip(tops, repeat(1))
+    runs = Counter(tops)
+    heights, lengths = list(runs), list(runs.values())
+    # Every number the DP holds is at most the count, so at most the product
+    # of C(t + L, L) <= (t + L)^min(t, L) over the runs: of at most B bits.
+    bits = sum(map(mul, map(min, heights, lengths),
+                   map(int.bit_length, map(add, heights, lengths))))
+    weight = ((bits >> 10) + 1) ** 2  # w^2, w = B // 1024 + 1
+    # The conjugate's runs, lowest first: the tops above each gap, as many
+    # of them as the gap is wide.
+    gaps = list(map(sub, reversed(heights), chain(reversed(heights[:-1]), (0,))))
+    conjugate = _run_plan(list(accumulate(reversed(lengths))), gaps, weight)
+    return min(_run_plan(heights, lengths, weight), conjugate, key=itemgetter(0))
+
+
+def _run_plan(
+    tops: list[int], lengths: list[int], weight: int
+) -> tuple[int, Iterable[tuple[int, int]]]:
+    """(cells, steps) for runs of lengths[r] tops tops[r]: a run (t, L) is
+    L steps (t, 1) for L n cells, n = t + 1, or one step (t, L) for
+    n^2 b weight cells, b the bit length of L, whichever is less.  The step
+    (t, L) takes about n^2 b products by repeated squaring, and weight
+    scales a product to the size of the numbers (see MAX_ORACLE_CELLS).
+    """
+    cells = sum(map(mul, tops, lengths)) + sum(lengths)
+    steps, counts = list(zip(tops, repeat(1))), lengths[:]
+    for r in compress(range(len(tops)), map(gt, lengths, tops)):
+        n, length = tops[r] + 1, lengths[r]
+        charge = n * n * length.bit_length() * weight
+        if charge < length * n:
+            cells += charge - length * n
+            steps[r], counts[r] = (tops[r], length), 1
+    return cells, chain.from_iterable(map(repeat, steps, counts))
+
+
+def _times_prefix_sum_power(row: list[int], power: int) -> list[int]:
+    """row after power prefix sums: its product with the first len(row)
+    coefficients of (1 + x + x^2 + ...)^power, that power taken by
+    repeated squaring of the all-ones row."""
+    ones = [1] * len(row)
+    while True:
+        if power & 1:
+            row = _truncated_product(row, ones)
+        power >>= 1
+        if not power:
+            return row
+        ones = _truncated_product(ones, ones)
+
+
+def _truncated_product(a: list[int], b: list[int]) -> list[int]:
+    """The first n coefficients of a(x) b(x), for a and b of length n."""
+    n = len(a)
+    rb = b[::-1]
+    return [sum(map(mul, a, rb[n - 1 - m:])) for m in range(n)]
 
 
 def _runs(bounds: tuple[int, ...], step: int | None) -> Iterator[Iterable[tuple[int, ...]]]:

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 from hypothesis import settings
 
@@ -53,6 +53,17 @@ def monotone_below_odometer(bounds, direction):
             return
         x[i] += 1
         x[i + 1:] = [0 if decreasing else x[i]] * (k - 1 - i)
+
+
+def count_below_dp_literal(bounds, step):
+    """The tuples _count_below counts, by one prefix sum a bound: the row of
+    prefixes ending in each value, padded with its full sum to the next top
+    b_i - step * i."""
+    row = [1]
+    for top in [b - i for i, b in enumerate(bounds, 1)] if step else bounds:
+        row = list(accumulate(row))
+        row += [row[-1]] * (top + 1 - len(row))
+    return sum(row)
 
 
 def random_subset(rng, n, max_size=None):

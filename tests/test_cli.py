@@ -1,4 +1,5 @@
 import io
+import math
 import json
 import os
 import subprocess
@@ -267,23 +268,41 @@ def test_subset_check_answers_where_the_downset_walk_refused():
         assert invoke(argv) == (0, "9835923040\n", ""), method
 
 
+def test_the_oracle_squares_what_its_cell_bound_refused():
+    # Once refused as 2 * 10^31, 2^63 + 1 and 10^7 cells: each is one short
+    # run of the conjugate, squared.
+    heights = ",".join([str(10**30)] * 20)
+    argv = ["paths-count", "--dir", "dec", "--heights", heights, "--method", "oracle", "--check"]
+    assert invoke(argv) == (0, f"{math.comb(10**30 + 20, 20)}\n", "")
+    for check in (["--method", "oracle"], ["--check"]):
+        argv = ["paths-count", "--dir", "dec", "--heights", str(2**63), *check]
+        assert invoke(argv) == (0, f"{2**63 + 1}\n", "")
+    for n, elems in ((10**6, range(999991, 10**6 + 1)), (2**63, (2**63,))):
+        argv = ["dim-subset", "--n", str(n), "--set", ",".join(map(str, elems)), "--check"]
+        assert invoke(argv) == (0, f"{math.comb(n, len(elems))}\n", "")
+
+
 def test_domain_errors_exit_2():
     for argv in [
         ["paths-count", "--dir", "dec", "--heights", "1,5"],
         ["paths-count", "--dir", "dec", "--heights", "4,x"],
         ["paths-count", "--dir", "dec", "--heights", ""],
-        # Over the oracle's cell bound; 2^63 so that no table is ever allocated.
-        ["paths-count", "--dir", "dec", "--heights", "9223372036854775808", "--method", "oracle"],
-        ["paths-count", "--dir", "dec", "--heights", "9223372036854775808", "--check"],
+        # Over the oracle's bound in both orientations, refused before any row
+        # is allocated: the staircase 1..5000, and 1000 heights of 10^4 after
+        # the iterative route has answered.
+        ["paths-count", "--dir", "inc", "--heights", ",".join(map(str, range(1, 5001))),
+         "--method", "oracle"],
+        ["paths-count", "--dir", "dec", "--heights", ",".join(["10000"] * 1000), "--check"],
         ["paths-list", "--dir", "dec", "--heights", "1", "--cap", "0"],
         # Over the listing bound: 48,903,492 sequences lie below this one.
         ["paths-list", "--dir", "dec", "--heights", ",".join(["30"] * 8), "--cap", "100000000"],
         ["dim-subset", "--n", "8", "--set", "3,3"],
         ["dim-subset", "--n", "4", "--set", "9"],
         ["dim-vector", "--n", "7", "--vector", "1:{1"],
-        # Over the subset oracle's cell bound, refused before any table is
-        # allocated.
-        ["dim-subset", "--n", "9223372036854775808", "--set", "9223372036854775808", "--check"],
+        # Over the subset oracle's bound in both orientations: the top 1000
+        # of {1..11000}.
+        ["dim-subset", "--n", "11000", "--set", ",".join(map(str, range(10001, 11001))),
+         "--check"],
         # Over the vector oracle's walk bound: 9.8 * 10^9 subsets lie below
         # this one generator.
         ["dim-vector", "--n", "60", "--vector", "1:{20,25,30,35,40,45,50,55,60}", "--check"],

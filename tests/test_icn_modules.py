@@ -541,13 +541,17 @@ def test_dim_principal_oracle_shares_no_code_with_the_other_routes(monkeypatch):
 
 
 def test_dim_principal_oracle_cell_bound():
-    # Cells sum(s_i - i + 1), refused before any table is allocated: 2^63,
-    # and 10,001,000 for the top 1000 of {1..11000}.
-    for s in (Subset(2**63, (2**63,)), Subset(11000, tuple(range(10001, 11001)))):
+    # Refused before any row is allocated, over the bound in both
+    # orientations of the shifted tops s_i - i: 12,507,500 cells for the
+    # even staircase {2, 4, ..., 10000}, and 10,001,000 for the top 1000 of
+    # {1..11000}, whose conjugate takes 10,010,000.
+    for s in (Subset(10000, tuple(range(2, 10001, 2))),
+              Subset(11000, tuple(range(10001, 11001)))):
         with pytest.raises(ValueError, match=f"exceed bound {MAX_ORACLE_CELLS}"):
             dim_principal_oracle(s)
-    # Every subset the walk answers fits: its cells are at most its downset
-    # plus its size.  {1..5000} is alone below itself, in 5000 cells.
+    # Every subset the walk answers fits: its plan costs at most its cells
+    # sum(s_i - i + 1), at most its downset plus its size.  {1..5000} is
+    # alone below itself: its shifted tops are all 0.
     s = Subset(5000, tuple(range(1, 5001)))
     assert dim_principal_oracle(s) == dim_submodule_oracle(basis_vector(s)) == 1
 

@@ -1,6 +1,6 @@
 import random
 from itertools import (
-    accumulate, chain, combinations, combinations_with_replacement, islice, product
+    accumulate, chain, combinations, combinations_with_replacement, groupby, islice, product
 )
 from operator import sub
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     cor35_rhs_literal,
+    count_below_dp_literal,
     gammas_literal,
     hessenberg_det_literal,
     mixed_family_literal,
@@ -39,6 +40,7 @@ from rookpaths import lattice_paths
 from rookpaths.lattice_paths import (
     _count_below,
     _flat_staircase_count,
+    _oracle_plan,
     _runs,
     iter_monotone_below,
     iter_subsets_below,
@@ -300,14 +302,51 @@ def test_gamma_recursion_takes_afresh_only_binomials_within_the_largest_drop(mon
 
 
 def test_oracle_refuses_boundaries_over_its_cell_bound():
-    # Heights of 2^63 and more: refused before any table is allocated.
-    with pytest.raises(ValueError, match="exceed bound 10000000"):
-        count_below_oracle(dec((2**63,)))
-    with pytest.raises(ValueError, match="exceed bound 10000000"):
-        count_below_oracle(inc((0, 2**64)))
-    for step in (0, 1):
+    # Over the bound in both orientations, refused before any row is
+    # allocated: the staircase 1..5000 (12,507,500 cells either way), 1000
+    # tops of 10^4 (10,001,000 cells, and their conjugate, 10^4 tops of 1000,
+    # 10,010,000), and 20 heights of 2^400, whose conjugate is one run of
+    # 2^400 tops of 20, squared at 21^2 * 401 products of numbers of up to
+    # 20 * 401 bits: 21^2 * 401 * 8^2 = 11,317,824 cells.
+    for h in (inc(range(1, 5001)), dec((10**4,) * 1000), dec((2**400,) * 20)):
         with pytest.raises(ValueError, match="exceed bound 10000000"):
-            _count_below((2**63,), step)
+            count_below_oracle(h)
+    for bounds, step in (((10**4,) * 1000, 0), (tuple(range(10001, 11001)), 1)):
+        with pytest.raises(ValueError, match="exceed bound 10000000"):
+            _count_below(bounds, step)
+
+
+def test_oracle_squares_long_runs_in_the_cheaper_orientation():
+    # One height 2^63 and 20 heights of 10^30 were refused as 2^63 + 1 and
+    # 2 * 10^31 cells; their conjugates are one short run each, squared.
+    assert count_below_oracle(dec((2**63,))) == 2**63 + 1
+    assert count_below_oracle(inc((0, 2**64))) == 2**64 + 1
+    assert count_below_oracle(dec((10**30,) * 20)) == binomial(10**30 + 20, 20)
+    assert _count_below((2**63,), 1) == 2**63
+    # The top 10 of {1..10^6}: ten tops of 999,990, or 999,990 tops of 10.
+    assert _count_below(tuple(range(999991, 10**6 + 1)), 1) == binomial(10**6, 10)
+
+
+def test_flat_boundaries_square_their_conjugate_run(monkeypatch):
+    # 20 heights of 10^4 are 10^4 conjugate tops of 20: one squared step on
+    # a row of 21, where one prefix sum a top took 200,020 cells.
+    squared = []
+    times_power = lattice_paths._times_prefix_sum_power
+
+    def recorded(row, power):
+        squared.append((len(row), power))
+        return times_power(row, power)
+
+    def no_runs(tops):
+        raise AssertionError("runs listed")
+
+    monkeypatch.setattr(lattice_paths, "_times_prefix_sum_power", recorded)
+    assert _oracle_plan((10**4,) * 20)[0] == 21**2 * 14
+    assert count_below_oracle(dec((10**4,) * 20)) == binomial(10**4 + 20, 20)
+    assert squared == [(21, 10**4)]
+    # The staircase takes one prefix sum a top, found without listing runs.
+    monkeypatch.setattr(lattice_paths, "Counter", no_runs)
+    assert count_below_oracle(dec(range(160, 0, -1))) == catalan(161)
 
 
 def listed(bounds, step):
@@ -335,6 +374,71 @@ def test_stepped_dp_counts_what_the_runs_list():
 ))
 def test_stepped_dp_counts_what_the_runs_list_on_longer_bounds(bounds_and_step):
     assert _count_below(*bounds_and_step) == listed(*bounds_and_step)
+
+
+def runs_and_gaps(rng):
+    """Weakly increasing tops from 0..3 in runs of up to 300, with a few
+    gaps of up to 300 between them."""
+    tops, top = [], rng.randint(0, 3)
+    for _ in range(rng.randint(0, 4)):
+        top += rng.choice((0, 1, 2, rng.randint(0, 300)))
+        tops += [top] * rng.choice((1, 2, rng.randint(1, 300)))
+    return tuple(tops)
+
+
+def test_runs_dp_counts_what_one_prefix_sum_a_top_counts():
+    bounds = [b for k in range(6) for b in combinations_with_replacement(range(9), k)]
+    rng = random.Random(21)
+    bounds += [runs_and_gaps(rng) for _ in range(400)]
+    for b in bounds:
+        assert _count_below(b, 0) == count_below_dp_literal(b, 0), b
+        # The subset whose shifted tops are b.
+        s = tuple(t + i for i, t in enumerate(b, 1))
+        assert _count_below(s, 1) == count_below_dp_literal(s, 1), s
+
+
+@given(st.lists(st.tuples(st.integers(0, 300), st.integers(1, 300)), max_size=4),
+       st.integers(0, 1))
+def test_runs_dp_counts_what_one_prefix_sum_a_top_counts_on_long_runs(runs, step):
+    tops = tuple(sorted(t for t, length in runs for _ in range(length)))
+    bounds = tuple(t + i for i, t in enumerate(tops, 1)) if step else tops
+    assert _count_below(bounds, step) == count_below_dp_literal(bounds, step)
+
+
+def plan_cells_literal(tops):
+    """The cheaper estimate of the tops and of their conjugate, the number
+    of tops >= v for v = t_k, ..., 1, taking each run of L tops t one
+    prefix sum at a time, L (t + 1) cells, or squared, n^2 b w cells."""
+    def runs(tops):
+        return [(t, len(list(g))) for t, g in groupby(tops)]
+
+    bits = sum(min(t, length) * (t + length).bit_length() for t, length in runs(tops))
+    weight = (bits // 1024 + 1) ** 2
+    conjugate = [sum(t >= v for t in tops) for v in range(max(tops, default=0), 0, -1)]
+    return min(sum(min(length * (t + 1), (t + 1) ** 2 * length.bit_length() * weight)
+                   for t, length in runs(x))
+               for x in (tops, conjugate))
+
+
+def test_oracle_plan_takes_the_cheaper_orientation_exhaustive():
+    # Runs of 3 pay from (0, 0, 0, 4) on, next to the staircases found
+    # without runs.  A conjugate run pays for the gap of 15 at the top of
+    # the last one, though its k <= t_k <= 2k + 2 rises like a staircase.
+    tops_list = [t for k in range(6) for t in combinations_with_replacement(range(15), k)]
+    tops_list.append((4, 4, 5, 6, 6, 6, 7, 9, 10, 10, 10, 11, 26))
+    for tops in tops_list:
+        assert _oracle_plan(tops)[0] == plan_cells_literal(tops), tops
+
+
+@given(st.one_of(
+    st.lists(st.integers(0, 60), max_size=40),
+    # Staircases raised by 0..2 a step, whose plan is found without runs.
+    st.lists(st.integers(0, 2), max_size=60).map(
+        lambda raised: [len(raised) - i + x for i, x in enumerate(raised)]),
+))
+def test_oracle_plan_takes_the_cheaper_orientation(heights):
+    tops = tuple(sorted(heights))
+    assert _oracle_plan(tops)[0] == plan_cells_literal(tops)
 
 
 def test_stepped_dp_cells_skip_what_a_strict_prefix_cannot_reach(monkeypatch):
