@@ -45,7 +45,7 @@ from .lattice_paths import (
     Direction,
     HeightSequence,
     _count_below,
-    _flat_staircase_count,
+    check_staircase_work,
     count_below_decreasing_iterative,
     iter_subsets_below,
 )
@@ -315,13 +315,14 @@ def dim_interval_family(m: int, k: int) -> int:
 def dim_mixed_family(k: int, m: int) -> int:
     """Closed form for the staircase-then-interval family, valid for k >= m >= 2.
 
-    Its heights are (m repeated k - m + 1 times, then m - 1, ..., 1), the
-    boundary whose specialized recursion also gives the Catalan staircase
-    (m = k) of verify_identity_cor35; _flat_staircase_count evaluates the
-    folded iterative count (see count_below_decreasing_iterative) on it.
+    Its heights (m repeated k - m + 1 times, then m - 1, ..., 1) are the
+    conjugate (transposed Ferrers diagram) of (k, k-1, ..., k-m+1), so it has
+    their count: the ballot number (k - m + 2) C(k + m + 1, m) / (k + 2),
+    c_{k+1} at m = k.  Pairs over MAX_STAIRCASE_WORK are refused, as by cor35.
     """
     _mixed_params(k, m)
-    return _flat_staircase_count(k, m)
+    check_staircase_work(k, m)
+    return (k - m + 2) * binomial(k + m + 1, m) // (k + 2)
 
 
 def dim_submodule(v: ModuleVector) -> int:

@@ -33,11 +33,10 @@ from .exact_math import IntMatrix, binomial, catalan, det_exact, first_items, in
 # heights of 2^15, about 0.95 s.  Two equal heights, which took 245 MB one
 # prefix sum a top, are one short squared run of their conjugate.
 MAX_ORACLE_CELLS = 10_000_000
-# The staircase recursion of mixed family (k, m) takes m^2 products of
-# O(m b)-bit integers, b the bit length of k, by O(m)-bit table entries, and
-# m steps that multiply and divide such integers by b-bit ones: m^2 b (m + b)
-# in all.  At 1.2 * 10^10 the slowest shapes measured on CPython 3.11 took
-# about 0.85 s (k = 10^6..10^12) and the Catalan staircase k = m = 1025 0.35 s.
+# The staircase work of the mixed family (k, m) counts m^2 b (m + b), b the
+# bit length of k.  cor35 (m = k) takes k^2 products of O(k b)-bit integers
+# by O(k)-bit table entries; k = 1025 took about 0.35 s on CPython 3.11
+# (2-vCPU VM).  dim_mixed_family takes one binomial but refuses the same pairs.
 MAX_STAIRCASE_WORK = 12_000_000_000
 # A listed sequence of length k costs k + 1 units, as a walked subset does for
 # the module oracle.  At 5 * 10^5 units the slowest shapes measured through
@@ -203,18 +202,26 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
     d small factors up and d down, where a fresh binomial takes r of each.
     So an entry is walked where it is nonzero and d <= r, and taken afresh
     otherwise: in a flat run's zero tail (n = r - 2 + d) or where d > r.  A
-    fresh entry with n < r is 0 and costs no binomial.
+    fresh entry with n < r is 0 and costs no binomial.  Across a leading flat
+    run h_1 = ... = h_L the tops j - 1 - i of gamma_j, j <= L + 1, are below
+    their bottoms, so gamma_2..gamma_{L+1} are 0: the rows hold index 1 and
+    the indices past the run from gamma_{L+2} on.
     """
     _require_direction(lam, Direction.DECREASING, "compute_gammas")
     a = [x - i for i, x in enumerate(lam.heights)]
-    gammas, row = [1, 0], [0]
-    for j in range(3, len(a) + 1):
+    run = lam.heights.count(lam.heights[0])  # L
+    kept = a[:1] + a[run:]  # the a_i of the rows' indices i = 1 and i > L
+    gammas, row = [1, 0], [0]  # gamma_1 and gamma_{L+1}, and gamma_{L+1}'s row at i = 1
+    for j in range(run + 2, len(a) + 1):
         y, d = a[j - 2], a[j - 3] - a[j - 2]
+        # r = j - i over the kept i: one range without a run (a chain costs ~2 % at k = 160).
+        bottoms = range(j - 1, 1, -1) if run == 1 else chain((j - 1,), range(j - run - 1, 1, -1))
         row = [c * perm(x - y, d) // (r * perm(x - y - r, d - 1)) if c and d <= r
                else binomial(x - y, r) if x - y >= r else 0
-               for c, x, r in zip(row, a, range(j - 1, 1, -1))]
+               for c, x, r in zip(row, kept, bottoms)]
         row.append(0)
         gammas.append(-sum(map(mul, row, gammas)))
+    gammas[1:1] = [0] * (run - 1)  # gamma_2..gamma_L
     return tuple(gammas[: len(a)])
 
 
@@ -502,35 +509,26 @@ def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
 
     The left side is c_{k+1}; the right side is the folded iterative count
     (see count_below_decreasing_iterative) on the staircase (k, k-1, ..., 1),
-    the mixed family's boundary at m = k, by _flat_staircase_count.  Returns
-    (left, right, equal); requires k >= 2.
+    by the paper's Corollary 3.5: with gamma_1 = 1 and one table of C(2d, d),
+        gamma_i = -sum(C(2(i-j-1), i-j) * gamma_j, j < i),
+        count = 2 gamma_k + gamma_{k+1} + sum(C(2(k+1-i), k+1-i) gamma_i, i < k).
+    Returns (left, right, equal) for k >= 2 within MAX_STAIRCASE_WORK.
     """
     int_entries((k,), "identity needs k >= 2", 2)
-    rhs = _flat_staircase_count(k, k)
+    check_staircase_work(k, k)
+    central = [binomial(2 * d, d) for d in range(k + 1)]
+    shifted = [0] + [central[d - 1] * (d - 1) // d for d in range(1, k + 1)]  # C(2d-2, d)
+    g = [1, 0]  # g[i - 1] = gamma_i, up to gamma_{k+1}
+    for i in range(3, k + 2):
+        g.append(-sum(map(mul, shifted[i - 1:0:-1], g)))
+    rhs = 2 * g[k - 1] + g[k] + sum(map(mul, central[k:1:-1], g))
     lhs = catalan(k + 1)
     return lhs, rhs, lhs == rhs
 
 
-def _flat_staircase_count(k: int, m: int) -> int:
-    """Paths below lam = (m repeated k-m+1 times, then m-1, ..., 1), for
-    k >= m >= 2 (the callers check this): with the coefficients gamma_1 = 1,
-    gamma_2 = ... = gamma_{k-m+2} = 0 and, for k-m+3 <= i <= k+1,
-        gamma_i = -C(m-k+2i-4, i-1) - sum(C(2(i-j-1), i-j) gamma_j, j = k-m+3..i-2),
-    the folded iterative count (see count_below_decreasing_iterative) is
-        C(m+k, k) + 2 gamma_k + gamma_{k+1} + sum(C(2(k+1-i), k+1-i) gamma_i, i < k).
-    Every coefficient but C(m-k+2i-4, i-1), walked along i, depends on one
-    index difference d < m, so one table of C(2d, d) holds them all.
-    """
+def check_staircase_work(k: int, m: int) -> None:
+    """Refuse a mixed family (k, m) whose work m^2 b (m + b) is over MAX_STAIRCASE_WORK."""
     b = k.bit_length()
     if m * m * b * (m + b) > MAX_STAIRCASE_WORK:
         raise ValueError(f"staircase work m^2 b (m + b), b = bit_length(k), exceeds bound "
                          f"{MAX_STAIRCASE_WORK}")
-    a = k - m + 2
-    central = [binomial(2 * d, d) for d in range(m)]
-    shifted = [0] + [central[d - 1] * (d - 1) // d for d in range(1, m)]  # C(2d-2, d)
-    g = [0]  # g[t] = gamma_{a+t}, up to gamma_{k+1}
-    lead = 1  # C(a + 2t, t) = C(m-k+2i-4, i-1) at i = a+1+t
-    for t in range(m - 1):
-        g.append(-lead - sum(map(mul, shifted[t + 1:1:-1], g)))
-        lead = lead * (a + 2 * t + 1) * (a + 2 * t + 2) // ((t + 1) * (a + t + 1))
-    return binomial(m + k, k) + 2 * g[-2] + g[-1] + sum(map(mul, central[m - 1:1:-1], g))

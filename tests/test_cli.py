@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,19 @@ def test_the_oracle_squares_what_its_cell_bound_refused():
     for n, elems in ((10**6, range(999991, 10**6 + 1)), (2**63, (2**63,))):
         argv = ["dim-subset", "--n", str(n), "--set", ",".join(map(str, elems)), "--check"]
         assert invoke(argv) == (0, f"{math.comb(n, len(elems))}\n", "")
+
+
+def test_flat_led_boundaries_cost_only_their_tail():
+    # gamma_2..gamma_(L+1) are 0 across a leading run of L equal heights, and
+    # the gamma recursion starts past it.  Walking rows over the run, these
+    # took 2.7 s, over 30 s and 43.8 s on CPython 3.11 (2-vCPU VM).  Below k
+    # heights of h lie C(h + k, k) sequences, and below the top k of {1..n}
+    # C(n, k) subsets.
+    for h, k in ((5000, 3000), (10**6, 10**4)):
+        argv = ["paths-count", "--dir", "dec", "--heights", ",".join([str(h)] * k)]
+        assert invoke(argv) == (0, f"{Decimal(math.comb(h + k, k))}\n", "")
+    argv = ["dim-subset", "--n", "20000", "--set", ",".join(map(str, range(10001, 20001)))]
+    assert invoke(argv) == (0, f"{Decimal(math.comb(20000, 10000))}\n", "")
 
 
 def test_domain_errors_exit_2():

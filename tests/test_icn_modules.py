@@ -460,6 +460,15 @@ def test_mixed_family_matches_the_literal_recursion_and_the_iterative_count():
             assert dim_mixed_family(k, m) == dim_principal_iterative(mixed_family_subset(k, m))
 
 
+def test_mixed_family_matches_the_subset_oracle_at_large_k():
+    # The ballot number against the oracle's DP over the subset, which takes
+    # no binomial: its tops s_i - i are 1, ..., m and then k - m tops of m.
+    for k in (500, 10**4):
+        for m in range(2, 41):
+            s = mixed_family_subset(k, m)
+            assert dim_mixed_family(k, m) == dim_principal_oracle(s), (k, m)
+
+
 def test_mixed_family_cost_follows_m():
     def work(k, m):  # m^2 b (m + b), b the bit length of k
         b = k.bit_length()

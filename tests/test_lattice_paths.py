@@ -13,7 +13,6 @@ from conftest import (
     count_below_dp_literal,
     gammas_literal,
     hessenberg_det_literal,
-    mixed_family_literal,
     monotone_below_odometer,
 )
 from rookpaths import (
@@ -39,7 +38,6 @@ from rookpaths import (
 from rookpaths import lattice_paths
 from rookpaths.lattice_paths import (
     _count_below,
-    _flat_staircase_count,
     _oracle_plan,
     _runs,
     iter_monotone_below,
@@ -299,6 +297,24 @@ def test_gamma_recursion_takes_afresh_only_binomials_within_the_largest_drop(mon
     for h in map(tuple, boundaries):
         largest_drop = max(map(sub, h, h[1:]), default=0)
         assert compute_gammas(dec(h)) == gammas_literal(h), h
+
+
+def test_gamma_recursion_skips_a_leading_flat_run(monkeypatch):
+    # gamma_2..gamma_301 are 0 across the 300 equal heights, so the rows
+    # hold index 1 and the six indices past the run.  Each drop of 1000
+    # exceeds every bottom, so every entry is taken afresh: 27 binomials
+    # with the count's closing sum, where rows over the run take ~1800.
+    calls = 0
+
+    def counted_binomial(n, r):
+        nonlocal calls
+        calls += 1
+        return binomial(n, r)
+
+    monkeypatch.setattr(lattice_paths, "binomial", counted_binomial)
+    lam = dec((10**4,) * 300 + tuple(range(9000, 3999, -1000)))
+    assert count_below_decreasing_iterative(lam) == count_below_increasing_determinant(lam.mirror())
+    assert calls < len(lam), calls
 
 
 def test_oracle_refuses_boundaries_over_its_cell_bound():
@@ -670,14 +686,11 @@ def test_identity_cor35_range():
         verify_identity_cor35(1)
 
 
-def test_flat_staircase_count_matches_the_literal_sums():
+def test_gamma_k_on_the_mixed_family_boundary():
     # The folded count closes with gamma_k and gamma_{k+1}, read from the
     # boundary (m repeated k-m+1 times, then m-1, ..., 1) with h_k repeated:
     # gamma_k = 0 at m = 2 and -1 at m = 3.
     for k in range(2, 41):
-        for m in range(2, k + 1):
-            assert _flat_staircase_count(k, m) == mixed_family_literal(k, m), (k, m)
-        assert _flat_staircase_count(k, k) == cor35_rhs_literal(k), k
         for m, gamma_k in [(2, 0), (3, -1)]:
             if m <= k:
                 lam = dec((m,) * (k - m + 1) + tuple(range(m - 1, 0, -1)) + (1,))

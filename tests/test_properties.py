@@ -39,8 +39,19 @@ from rookpaths import (
     reduced_support,
 )
 
-decreasing_boundaries = st.lists(st.integers(0, 40), min_size=1, max_size=12).map(
-    lambda heights: HeightSequence.decreasing(sorted(heights, reverse=True))
+# Up to 50 more copies of the top height lead a decreasing boundary, the
+# flat run whose gammas are 0 and whose row indices the recursion skips.
+leading_runs = st.integers(0, 50)
+
+
+def _led_by_run(heights, run):
+    """The decreasing heights after `run` more copies of the top one."""
+    heights = sorted(heights, reverse=True)
+    return HeightSequence.decreasing(heights[:1] * run + heights)
+
+
+decreasing_boundaries = st.builds(
+    _led_by_run, st.lists(st.integers(0, 40), min_size=1, max_size=12), leading_runs
 )
 increasing_boundaries = st.lists(st.integers(0, 40), min_size=1, max_size=12).map(
     lambda heights: HeightSequence.increasing(sorted(heights))
@@ -77,17 +88,17 @@ def antichain_vectors(draw):
 
 @st.composite
 def walked_boundaries(draw):
-    """A decreasing boundary of length up to 80 whose drops h_i - h_(i+1)
-    take the entries of the gamma recursion's rows both ways in one row:
-    walked where the drop is at most an entry's bottom, across flat runs (0),
-    staircase steps (1), short drops (2-4) and drops up to the bottoms
-    (5-80); taken afresh in a flat run's zero tail and where a drop, up to
-    10^4, exceeds the bottom."""
+    """A decreasing boundary of length up to 80, led by a flat run of up to
+    50 more, whose drops h_i - h_(i+1) take the entries of the gamma
+    recursion's rows both ways in one row: walked where the drop is at most
+    an entry's bottom, across flat runs (0), staircase steps (1), short
+    drops (2-4) and drops up to the bottoms (5-80); taken afresh in a flat
+    run's zero tail and where a drop, up to 10^4, exceeds the bottom."""
     k = draw(st.integers(1, 80))
     drop = st.one_of(st.just(0), st.just(1), st.integers(2, 4), st.integers(5, 80),
                      st.integers(5, 10**4))
     drops = draw(st.lists(drop, min_size=k - 1, max_size=k - 1))
-    return HeightSequence.decreasing(tuple(accumulate(drops, initial=draw(st.integers(0, 5))))[::-1])
+    return _led_by_run(accumulate(drops, initial=draw(st.integers(0, 5))), draw(leading_runs))
 
 
 @st.composite
