@@ -45,7 +45,6 @@ from .lattice_paths import (
     Direction,
     HeightSequence,
     _count_below,
-    check_staircase_work,
     count_below_decreasing_iterative,
     iter_subsets_below,
 )
@@ -318,10 +317,9 @@ def dim_mixed_family(k: int, m: int) -> int:
     Its heights (m repeated k - m + 1 times, then m - 1, ..., 1) are the
     conjugate (transposed Ferrers diagram) of (k, k-1, ..., k-m+1), so it has
     their count: the ballot number (k - m + 2) C(k + m + 1, m) / (k + 2),
-    c_{k+1} at m = k.  Pairs over MAX_STAIRCASE_WORK are refused, as by cor35.
+    c_{k+1} at m = k.
     """
     _mixed_params(k, m)
-    check_staircase_work(k, m)
     return (k - m + 2) * binomial(k + m + 1, m) // (k + 2)
 
 

@@ -15,28 +15,27 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import perm
-from operator import add, gt, itemgetter, lt, mul, sub
+from operator import add, gt, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact_math import IntMatrix, binomial, catalan, det_exact, first_items, int_entries, trusted
 
 # The DP oracle's work and rows are bounded by its plan's estimate in cells
-# (see _oracle_plan): L (t + 1) for a run of L tops t taken one prefix sum
-# at a time, and n^2 b w^2 for a run squared, n = t + 1 and b the bit length
-# of L: about n^2 b products, each charged w^2, w = B // 1024 + 1, for
-# numbers of up to B bits.  At 10^7 cells the slowest shapes measured on
-# CPython 3.11 (2-vCPU VM) took about 2.7 s (the staircase k = 4470, and so
-# the even staircase {2, 4, ..., 8940}) and 77 MB (the tops 1024, 2048, ...,
-# 139 * 1024, which no squared run shortens); the slowest squared one, 300
-# heights of 2^15, about 0.95 s.  Two equal heights, which took 245 MB one
-# prefix sum a top, are one short squared run of their conjugate.
+# (see _oracle_plan): L n for a run of L tops t, n = t + 1, taken one prefix
+# sum at a time, and n^2 w^2 for the run taken as one product, w =
+# B // 1024 + 1 for numbers of up to B bits.  At 10^7 cells the slowest
+# shapes measured on CPython 3.11 (2-vCPU VM) took about 2.7 s (the
+# staircase k = 4470, and so the even staircase {2, 4, ..., 8940}, and 2700
+# tops 256, ..., 256 * 27 in runs of 100, whose conjugate sums numbers of
+# up to ~8,000 bits) and 71 MB (the tops 512, 1024, ..., 197 * 512, one long row
+# of prefix sums); the slowest product found, 2^16 tops 400 after the
+# staircase 1..360, about 0.07 s.
 MAX_ORACLE_CELLS = 10_000_000
-# The staircase work of the mixed family (k, m) counts m^2 b (m + b), b the
-# bit length of k.  cor35 (m = k) takes k^2 products of O(k b)-bit integers
-# by O(k)-bit table entries; k = 1025 took about 0.35 s on CPython 3.11
-# (2-vCPU VM).  dim_mixed_family takes one binomial but refuses the same pairs.
+# cor35's staircase work counts m^2 b (m + b) at m = k, b the bit length of
+# k: k^2 products of O(k b)-bit integers by O(k)-bit table entries; k = 1025
+# took about 0.35 s on CPython 3.11 (2-vCPU VM).
 MAX_STAIRCASE_WORK = 12_000_000_000
 # A listed sequence of length k costs k + 1 units, as a walked subset does for
 # the module oracle.  At 5 * 10^5 units the slowest shapes measured through
@@ -241,19 +240,24 @@ def count_below_decreasing_iterative(lam: HeightSequence) -> int:
     the gamma rows are: the step to i + 1 lowers r by 1 and h_i by the drop
     d = h_i - h_(i+1), so C(x + r, r) becomes C(x - d + r - 1, r - 1) =
     C(x + r, r) r perm(x, d) / ((x + r) perm(x + r - 1, d)), 2d small
-    factors where a fresh binomial takes r - 1 up and down.  So the first
-    term, and a term after a drop larger than its bottom, are taken afresh.
+    factors where a fresh binomial takes r - 1 up and down.  Across a
+    leading flat run h_1 = ... = h_L the terms' gamma_2..gamma_(L+1) are 0
+    (see compute_gammas), so the sum takes its first term and its term at
+    i = L + 2 afresh, and walks only from there; a term after a drop larger
+    than its bottom is taken afresh too.
     """
     _require_direction(lam, Direction.DECREASING, "iterative count")
     h = lam.heights
     k = len(h)
     g = compute_gammas(trusted(HeightSequence, Direction.DECREASING, h + h[-1:]))
     total = (h[-1] + 1) * g[k - 1] + g[k]
-    term = 0
-    for i in range(k - 1):  # term = C(h[i] + r, r)
+    if k > 1:
+        total += binomial(h[0] + k, k)  # i = 1, gamma_1 = 1
+    run = h.count(h[0])  # L
+    for i in range(run + 1, k - 1):  # term = C(h[i] + r, r), past gamma_(L+1)
         r, x = k - i, h[i - 1]
         d = x - h[i]
-        if i and d <= r:
+        if i > run + 1 and d <= r:
             term = term * (r + 1) * perm(x, d) // ((x + r + 1) * perm(x + r, d))
         else:
             term = binomial(h[i] + r, r)
@@ -307,100 +311,66 @@ def _count_below(bounds: tuple[int, ...], step: int) -> int:
     b_i - i, so the rows carry no entry a strictly increasing prefix cannot
     reach.  row[m] counts the admissible prefixes ending in m, starting from
     the one empty prefix as row = [1]; the next entry is at least m, so a
-    top t pads the row with zeros to t + 1 entries and takes its prefix
+    top t pads the row with zeros to n = t + 1 entries and takes its prefix
     sums.  A run of L equal tops takes L of them, which is the product of
-    the row with the first t + 1 coefficients of (1 + x + x^2 + ...)^L;
-    _oracle_plan says which runs take that product and in which of the
-    tops and their conjugate.  Plans whose estimate exceeds
+    the row with the first n coefficients C(L - 1 + j, j) of (1 - x)^(-L),
+    walked along j.  _oracle_plan says which runs take that product and in
+    which of the tops and their conjugate.  Plans whose estimate exceeds
     MAX_ORACLE_CELLS are refused before anything is allocated.
     """
     tops = [b - i for i, b in enumerate(bounds, 1)] if step else bounds
-    cells, steps = _oracle_plan(tops)
+    cells, runs, weight = _oracle_plan(tops)
     if cells > MAX_ORACLE_CELLS:
         raise ValueError(f"oracle cells exceed bound {MAX_ORACLE_CELLS}")
     row = [1]
-    for top, power in steps:
-        row += [0] * (top + 1 - len(row))
-        row = list(accumulate(row)) if power == 1 else _times_prefix_sum_power(row, power)
+    for n, length in runs:
+        row += [0] * (n - len(row))
+        if length <= n * weight:
+            for _ in range(length):
+                row = list(accumulate(row))
+        else:
+            series = list(accumulate(range(1, n), lambda c, j: c * (length - 1 + j) // j,
+                                     initial=1))
+            row = [sum(map(mul, series, row[m::-1])) for m in range(n)]
     return sum(row)
 
 
-def _oracle_plan(tops: Sequence[int]) -> tuple[int, Iterable[tuple[int, int]]]:
-    """(cells, steps) of the cheaper way to count below the weakly
-    increasing tops: each step (t, p) pads the row to t + 1 entries and
-    takes p prefix sums.
+def _oracle_plan(tops: Sequence[int]) -> tuple[int, Iterable[tuple[int, int]], int]:
+    """(cells, runs, weight) of the cheaper way to count below the weakly
+    increasing tops: a run (n, L) pads the row to n entries and takes L
+    prefix sums, one at a time for L n cells or as one product for
+    n^2 weight cells, whichever is fewer.  The weight scales a product to
+    the size of the numbers (see MAX_ORACLE_CELLS).
 
     The conjugate of tops t_1 <= ... <= t_k, the number of tops >= v for
     v = t_k, ..., 1, has the same count (transpose the Ferrers diagram): a
     run of L equal tops becomes a gap of L, and a gap of g between distinct
-    tops (t_0 = 0) a run of g.  In either, a run of L tops t costs L (t + 1)
-    cells one prefix sum at a time, or is squared at the charge of
-    _run_plan, which pays only for L > 2 (t + 1).  Such a run of the tops
-    holds an even index 2m > 2t, so t_(2m) < m; such a run of the conjugate
-    is fewer than m tops >= t_k - 2m for some m, so t_k >= 2k + 3 or
-    t_(k-m) < t_k - 2m.  Without either, and with k <= t_k rows, the plan is
-    one prefix sum a top, found without listing the runs.
+    tops (t_0 = 0) a run of g.
     """
-    k = len(tops)
-    if not k or (
-        k <= tops[-1] <= 2 * k + 2
-        and min(map(sub, tops, range(0, 2 * k, 2))) >= tops[-1] - 2 * k
-        and not any(map(lt, tops[::2], range(k)))
-    ):
-        return sum(tops) + k, zip(tops, repeat(1))
     runs = Counter(tops)
     heights, lengths = list(runs), list(runs.values())
-    # Every number the DP holds is at most the count, so at most the product
-    # of C(t + L, L) <= (t + L)^min(t, L) over the runs: of at most B bits.
-    bits = sum(map(mul, map(min, heights, lengths),
-                   map(int.bit_length, map(add, heights, lengths))))
-    weight = ((bits >> 10) + 1) ** 2  # w^2, w = B // 1024 + 1
     # The conjugate's runs, lowest first: the tops above each gap, as many
     # of them as the gap is wide.
     gaps = list(map(sub, reversed(heights), chain(reversed(heights[:-1]), (0,))))
-    conjugate = _run_plan(list(accumulate(reversed(lengths))), gaps, weight)
-    return min(_run_plan(heights, lengths, weight), conjugate, key=itemgetter(0))
-
-
-def _run_plan(
-    tops: list[int], lengths: list[int], weight: int
-) -> tuple[int, Iterable[tuple[int, int]]]:
-    """(cells, steps) for runs of lengths[r] tops tops[r]: a run (t, L) is
-    L steps (t, 1) for L n cells, n = t + 1, or one step (t, L) for
-    n^2 b weight cells, b the bit length of L, whichever is less.  The step
-    (t, L) takes about n^2 b products by repeated squaring, and weight
-    scales a product to the size of the numbers (see MAX_ORACLE_CELLS).
-    """
-    cells = sum(map(mul, tops, lengths)) + sum(lengths)
-    steps, counts = list(zip(tops, repeat(1))), lengths[:]
-    for r in compress(range(len(tops)), map(gt, lengths, tops)):
-        n, length = tops[r] + 1, lengths[r]
-        charge = n * n * length.bit_length() * weight
-        if charge < length * n:
-            cells += charge - length * n
-            steps[r], counts[r] = (tops[r], length), 1
-    return cells, chain.from_iterable(map(repeat, steps, counts))
-
-
-def _times_prefix_sum_power(row: list[int], power: int) -> list[int]:
-    """row after power prefix sums: its product with the first len(row)
-    coefficients of (1 + x + x^2 + ...)^power, that power taken by
-    repeated squaring of the all-ones row."""
-    ones = [1] * len(row)
-    while True:
-        if power & 1:
-            row = _truncated_product(row, ones)
-        power >>= 1
-        if not power:
-            return row
-        ones = _truncated_product(ones, ones)
-
-
-def _truncated_product(a: list[int], b: list[int]) -> list[int]:
-    """The first n coefficients of a(x) b(x), for a and b of length n."""
-    n = len(a)
-    rb = b[::-1]
-    return [sum(map(mul, a, rb[n - 1 - m:])) for m in range(n)]
+    conjugate = list(accumulate(reversed(lengths)))
+    orientations = [([t + 1 for t in heights], lengths), ([t + 1 for t in conjugate], gaps)]
+    # A product pays only for L > n weight >= n, so for a run longer than
+    # its row; without one, every run takes its L prefix sums.
+    long = any(any(map(gt, ls, ns)) for ns, ls in orientations)
+    weight = 1
+    if long:
+        # Every number the DP holds is at most the count, so at most the
+        # product of C(t + L, L) <= (t + L)^min(t, L) over the runs: of at
+        # most B bits.
+        bits = sum(map(mul, map(min, heights, lengths),
+                       map(int.bit_length, map(add, heights, lengths))))
+        weight = ((bits >> 10) + 1) ** 2  # w^2, w = B // 1024 + 1
+    plans = []
+    for ns, ls in orientations:
+        # A run costs n min(L, n weight) cells.
+        sums = map(min, ls, map(mul, ns, repeat(weight))) if long else ls
+        plans.append((sum(map(mul, ns, sums)), zip(ns, ls)))
+    return (*min(plans, key=itemgetter(0)), weight)
 
 
 def _runs(bounds: tuple[int, ...], step: int | None) -> Iterator[Iterable[tuple[int, ...]]]:
@@ -515,7 +485,10 @@ def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
     Returns (left, right, equal) for k >= 2 within MAX_STAIRCASE_WORK.
     """
     int_entries((k,), "identity needs k >= 2", 2)
-    check_staircase_work(k, k)
+    b = k.bit_length()
+    if k * k * b * (k + b) > MAX_STAIRCASE_WORK:
+        raise ValueError(f"staircase work m^2 b (m + b), b = bit_length(k), exceeds bound "
+                         f"{MAX_STAIRCASE_WORK}")
     central = [binomial(2 * d, d) for d in range(k + 1)]
     shifted = [0] + [central[d - 1] * (d - 1) // d for d in range(1, k + 1)]  # C(2d-2, d)
     g = [1, 0]  # g[i - 1] = gamma_i, up to gamma_{k+1}
@@ -525,10 +498,3 @@ def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
     lhs = catalan(k + 1)
     return lhs, rhs, lhs == rhs
 
-
-def check_staircase_work(k: int, m: int) -> None:
-    """Refuse a mixed family (k, m) whose work m^2 b (m + b) is over MAX_STAIRCASE_WORK."""
-    b = k.bit_length()
-    if m * m * b * (m + b) > MAX_STAIRCASE_WORK:
-        raise ValueError(f"staircase work m^2 b (m + b), b = bit_length(k), exceeds bound "
-                         f"{MAX_STAIRCASE_WORK}")

@@ -271,10 +271,13 @@ def test_subset_check_answers_where_the_downset_walk_refused():
 
 def test_the_oracle_squares_what_its_cell_bound_refused():
     # Once refused as 2 * 10^31, 2^63 + 1 and 10^7 cells: each is one short
-    # run of the conjugate, squared.
-    heights = ",".join([str(10**30)] * 20)
-    argv = ["paths-count", "--dir", "dec", "--heights", heights, "--method", "oracle", "--check"]
-    assert invoke(argv) == (0, f"{math.comb(10**30 + 20, 20)}\n", "")
+    # run of the conjugate, taken as one product.  20 heights of 2^400 were
+    # refused as a squared run too, and now cost 28,224 cells.
+    for h in (10**30, 2**400):
+        heights = ",".join([str(h)] * 20)
+        argv = ["paths-count", "--dir", "dec", "--heights", heights, "--method", "oracle",
+                "--check"]
+        assert invoke(argv) == (0, f"{math.comb(h + 20, 20)}\n", "")
     for check in (["--method", "oracle"], ["--check"]):
         argv = ["paths-count", "--dir", "dec", "--heights", str(2**63), *check]
         assert invoke(argv) == (0, f"{2**63 + 1}\n", "")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, count
@@ -470,19 +471,16 @@ def test_mixed_family_matches_the_subset_oracle_at_large_k():
 
 
 def test_mixed_family_cost_follows_m():
-    def work(k, m):  # m^2 b (m + b), b the bit length of k
-        b = k.bit_length()
-        return m * m * b * (m + b)
-
-    # m = 2 takes no recursion step: C(k+2, 2) - 1 for any k.
+    # One binomial for any pair, like its siblings: m = 2 is C(k+2, 2) - 1
+    # for any k, and m = 400 with k of 333 bits, which the staircase work
+    # bound once refused, is the ballot number.
     assert dim_mixed_family(10**9, 2) == (10**9 + 1) * (10**9 + 2) // 2 - 1
-    # The Catalan staircase just past the bound, and m = 400 far past it
-    # once k has 333 bits.
-    k = next(k for k in count(2) if work(k, k) > MAX_STAIRCASE_WORK)
-    assert work(10**100, 400) > MAX_STAIRCASE_WORK
-    for k, m in [(k, k), (10**100, 400)]:
-        with pytest.raises(ValueError, match=f"bound {MAX_STAIRCASE_WORK}"):
-            dim_mixed_family(k, m)
+    k = 10**100
+    assert dim_mixed_family(k, 400) == (k - 398) * math.comb(k + 401, 400) // (k + 2)
+    # The Catalan staircase just past cor35's work bound answers too.
+    k = next(k for k in count(2) if k * k * k.bit_length() * (k + k.bit_length())
+             > MAX_STAIRCASE_WORK)
+    assert dim_mixed_family(k, k) == catalan(k + 1)
 
 
 def test_dim_submodule_examples():

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from itertools import (
     accumulate, chain, combinations, combinations_with_replacement, groupby, islice, product
 )
@@ -37,6 +38,7 @@ from rookpaths import (
 )
 from rookpaths import lattice_paths
 from rookpaths.lattice_paths import (
+    MAX_STAIRCASE_WORK,
     _count_below,
     _oracle_plan,
     _runs,
@@ -317,14 +319,35 @@ def test_gamma_recursion_skips_a_leading_flat_run(monkeypatch):
     assert calls < len(lam), calls
 
 
+def test_iterative_count_skips_a_leading_flat_run_in_its_closing_sum(monkeypatch):
+    # gamma_i is 0 across the 300 equal heights, so the closing sum takes
+    # its first term and its first term past the run afresh and walks the
+    # small drops after it: with the gamma rows, 28 binomials and perm
+    # steps, where walking the closing sum over the run took ~630.
+    calls = 0
+
+    def counted(f):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(lattice_paths, "binomial", counted(binomial))
+    monkeypatch.setattr(lattice_paths, "perm", counted(lattice_paths.perm))
+    lam = dec((10**4,) * 300 + (9999, 9998, 9997, 9995, 9990))
+    assert count_below_decreasing_iterative(lam) == count_below_increasing_determinant(lam.mirror())
+    assert calls < len(lam) // 10, calls
+
+
 def test_oracle_refuses_boundaries_over_its_cell_bound():
     # Over the bound in both orientations, refused before any row is
     # allocated: the staircase 1..5000 (12,507,500 cells either way), 1000
     # tops of 10^4 (10,001,000 cells, and their conjugate, 10^4 tops of 1000,
-    # 10,010,000), and 20 heights of 2^400, whose conjugate is one run of
-    # 2^400 tops of 20, squared at 21^2 * 401 products of numbers of up to
-    # 20 * 401 bits: 21^2 * 401 * 8^2 = 11,317,824 cells.
-    for h in (inc(range(1, 5001)), dec((10**4,) * 1000), dec((2**400,) * 20)):
+    # 10,010,000), and 20 heights of 2^8000, whose conjugate is one run of
+    # 2^8000 tops of 20, one product of rows of 21 numbers of up to
+    # 20 * 8001 bits: 21^2 * 157^2 = 10,870,209 cells.
+    for h in (inc(range(1, 5001)), dec((10**4,) * 1000), dec((2**8000,) * 20)):
         with pytest.raises(ValueError, match="exceed bound 10000000"):
             count_below_oracle(h)
     for bounds, step in (((10**4,) * 1000, 0), (tuple(range(10001, 11001)), 1)):
@@ -334,35 +357,34 @@ def test_oracle_refuses_boundaries_over_its_cell_bound():
 
 def test_oracle_squares_long_runs_in_the_cheaper_orientation():
     # One height 2^63 and 20 heights of 10^30 were refused as 2^63 + 1 and
-    # 2 * 10^31 cells; their conjugates are one short run each, squared.
+    # 2 * 10^31 cells; their conjugates are one short run each, taken as
+    # one product.  20 heights of 2^400 cost 21^2 * 8^2 = 28,224 cells.
     assert count_below_oracle(dec((2**63,))) == 2**63 + 1
     assert count_below_oracle(inc((0, 2**64))) == 2**64 + 1
     assert count_below_oracle(dec((10**30,) * 20)) == binomial(10**30 + 20, 20)
+    assert _oracle_plan((2**400,) * 20)[0] == 21**2 * 8**2
+    assert count_below_oracle(dec((2**400,) * 20)) == binomial(2**400 + 20, 20)
     assert _count_below((2**63,), 1) == 2**63
     # The top 10 of {1..10^6}: ten tops of 999,990, or 999,990 tops of 10.
     assert _count_below(tuple(range(999991, 10**6 + 1)), 1) == binomial(10**6, 10)
 
 
 def test_flat_boundaries_square_their_conjugate_run(monkeypatch):
-    # 20 heights of 10^4 are 10^4 conjugate tops of 20: one squared step on
-    # a row of 21, where one prefix sum a top took 200,020 cells.
-    squared = []
-    times_power = lattice_paths._times_prefix_sum_power
+    # 20 heights of 10^4 are 10^4 conjugate tops of 20: one product on a row
+    # of 21 with the walked series C(10^4 - 1 + j, j), j < 21, and no prefix
+    # sum, where one prefix sum a height took 200,020 cells.
+    walked, summed = [], []
 
-    def recorded(row, power):
-        squared.append((len(row), power))
-        return times_power(row, power)
+    def recorded(iterable, *args, **kwargs):
+        (walked if "initial" in kwargs else summed).append(iterable)
+        return accumulate(iterable, *args, **kwargs)
 
-    def no_runs(tops):
-        raise AssertionError("runs listed")
-
-    monkeypatch.setattr(lattice_paths, "_times_prefix_sum_power", recorded)
-    assert _oracle_plan((10**4,) * 20)[0] == 21**2 * 14
+    cells, runs, weight = _oracle_plan((10**4,) * 20)
+    assert (cells, list(runs), weight) == (21**2, [(21, 10**4)], 1)
+    monkeypatch.setattr(lattice_paths, "accumulate", recorded)
     assert count_below_oracle(dec((10**4,) * 20)) == binomial(10**4 + 20, 20)
-    assert squared == [(21, 10**4)]
-    # The staircase takes one prefix sum a top, found without listing runs.
-    monkeypatch.setattr(lattice_paths, "Counter", no_runs)
-    assert count_below_oracle(dec(range(160, 0, -1))) == catalan(161)
+    assert walked == [range(1, 21)]
+    assert not any(isinstance(row, list) for row in summed)
 
 
 def listed(bounds, step):
@@ -424,33 +446,35 @@ def test_runs_dp_counts_what_one_prefix_sum_a_top_counts_on_long_runs(runs, step
 def plan_cells_literal(tops):
     """The cheaper estimate of the tops and of their conjugate, the number
     of tops >= v for v = t_k, ..., 1, taking each run of L tops t one
-    prefix sum at a time, L (t + 1) cells, or squared, n^2 b w cells."""
+    prefix sum at a time, L n cells, or as one product, n^2 w cells,
+    n = t + 1, whichever is fewer."""
     def runs(tops):
         return [(t, len(list(g))) for t, g in groupby(tops)]
 
     bits = sum(min(t, length) * (t + length).bit_length() for t, length in runs(tops))
     weight = (bits // 1024 + 1) ** 2
-    conjugate = [sum(t >= v for t in tops) for v in range(max(tops, default=0), 0, -1)]
-    return min(sum(min(length * (t + 1), (t + 1) ** 2 * length.bit_length() * weight)
-                   for t, length in runs(x))
+    conjugate = [len(tops) - bisect_left(tops, v) for v in range(max(tops, default=0), 0, -1)]
+    return min(sum(min(length * (t + 1), (t + 1) ** 2 * weight) for t, length in runs(x))
                for x in (tops, conjugate))
 
 
 def test_oracle_plan_takes_the_cheaper_orientation_exhaustive():
-    # Runs of 3 pay from (0, 0, 0, 4) on, next to the staircases found
-    # without runs.  A conjugate run pays for the gap of 15 at the top of
-    # the last one, though its k <= t_k <= 2k + 2 rises like a staircase.
+    # A run of 2 zeros is a product from (0, 0) on, and the single top 14 is
+    # one of its conjugate, 14 tops of 1.
     tops_list = [t for k in range(6) for t in combinations_with_replacement(range(15), k)]
-    tops_list.append((4, 4, 5, 6, 6, 6, 7, 9, 10, 10, 10, 11, 26))
     for tops in tops_list:
         assert _oracle_plan(tops)[0] == plan_cells_literal(tops), tops
 
 
 @given(st.one_of(
     st.lists(st.integers(0, 60), max_size=40),
-    # Staircases raised by 0..2 a step, whose plan is found without runs.
+    # Staircases raised by 0..2 a step, whose runs are mostly no longer
+    # than their tops in either orientation.
     st.lists(st.integers(0, 2), max_size=60).map(
         lambda raised: [len(raised) - i + x for i, x in enumerate(raised)]),
+    # Runs of up to 400 tops of up to 400, whose numbers may pass 1024 bits.
+    st.lists(st.tuples(st.integers(0, 400), st.integers(1, 400)), max_size=3).map(
+        lambda runs: [t for t, length in runs for _ in range(length)]),
 ))
 def test_oracle_plan_takes_the_cheaper_orientation(heights):
     tops = tuple(sorted(heights))
@@ -684,6 +708,17 @@ def test_identity_cor35_range():
         assert rhs == cor35_rhs_literal(k), k
     with pytest.raises(ValueError):
         verify_identity_cor35(1)
+
+
+def test_identity_cor35_work_bound():
+    # k^2 b (k + b), b the bit length of k: k = 1025 is the last within it.
+    assert 1025**2 * 11 * (1025 + 11) <= MAX_STAIRCASE_WORK < 1026**2 * 11 * (1026 + 11)
+    message = ("staircase work m^2 b (m + b), b = bit_length(k), exceeds bound "
+               f"{MAX_STAIRCASE_WORK}")
+    for k in (1026, 10**5):
+        with pytest.raises(ValueError) as refused:
+            verify_identity_cor35(k)
+        assert str(refused.value) == message
 
 
 def test_gamma_k_on_the_mixed_family_boundary():
