@@ -192,36 +192,88 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
         gamma_j = -sum(C(h_i - h_{j-1} + j - i - 1, j - i) * gamma_i, i = 1..j-2),
     so gamma_2 = 0 (empty sum) and gamma_j depends on h_1..h_{j-1} only.
 
-    With a_i = h_i - i the terms of gamma_j are C(a_i - a_{j-1}, j - i), kept
-    as one row over i < j whose last entry is C(0, 1) = 0; gamma_2's row is
-    that entry alone.  The step to gamma_{j+1} raises every top n by the drop
-    d = a_{j-1} - a_j >= 1 and every bottom r by 1, so an entry of the new
-    row is the old one walked by
+    With a_i = h_i - i the terms of gamma_j are C(a_i - a_{j-1}, j - i), and
+    the step to gamma_{j+1} raises every top by the drop d = a_{j-1} - a_j
+    >= 1 and every bottom by 1.  Across a leading flat run h_1 = ... = h_L
+    the tops j - 1 - i of gamma_j, j <= L + 1, are below their bottoms, so
+    gamma_2..gamma_{L+1} are 0 and only the terms i = 1 and i > L + 1 are
+    left.  Two routes take the t = k - L indices past the run, whose drops
+    sum to D = a_L - a_k: the pushed polynomial (_pushed_gammas) costs about
+    t D adds at C speed, the walked rows (_walked_gammas) about t^2 / 2
+    entries of a few big-integer products each.  probes/gamma_routes.py
+    times the two equal where D / (t + 1) is about sqrt(t) / 2 (from 1.6 at
+    t = 10 to 10 at t = 320, and past 20 at t = 640), so the tail is pushed
+    while 4 D^2 <= t (t + 1)^2.
+
+    Both routes walk a binomial to the next coefficient's by
         C(n, r) = C(n - d, r - 1) * perm(n, d) / (r * perm(n - r, d - 1)),
-    d small factors up and d down, where a fresh binomial takes r of each.
-    So an entry is walked where it is nonzero and d <= r, and taken afresh
-    otherwise: in a flat run's zero tail (n = r - 2 + d) or where d > r.  A
-    fresh entry with n < r is 0 and costs no binomial.  Across a leading flat
-    run h_1 = ... = h_L the tops j - 1 - i of gamma_j, j <= L + 1, are below
-    their bottoms, so gamma_2..gamma_{L+1} are 0: the rows hold index 1 and
-    the indices past the run from gamma_{L+2} on.
+    d small factors up and d down where a fresh binomial takes r of each.
+    They walk where the old entry is nonzero and 3 d <= r, past which the
+    probe finds a fresh binomial cheaper, and take the entry afresh
+    otherwise; an entry with n < r is 0 and costs no binomial.
     """
     _require_direction(lam, Direction.DECREASING, "compute_gammas")
     a = [x - i for i, x in enumerate(lam.heights)]
     run = lam.heights.count(lam.heights[0])  # L
+    tail, drop = len(a) - run, a[run - 1] - a[-1]
+    pushed = 4 * drop * drop <= tail * (tail + 1) ** 2
+    rest = (_pushed_gammas if pushed else _walked_gammas)(a, run)
+    return (1, *[0] * run, *rest)[: len(a)]  # gamma_1, gamma_2..gamma_{L+1}, the rest
+
+
+def _pushed_gammas(a: list[int], run: int) -> list[int]:
+    """gamma_{L+2}..gamma_k of the a_i past a leading run of L, as one
+    polynomial: gamma_j = -C(a_1 - a_{j-1}, j - 1) - [x^j] H_j, where
+        H_j = sum(gamma_i x^i (1 + x)^(a_i - a_{j-1}), i = L+2..j-1),
+        H_{j+1} = (1 + x)^d H_j + gamma_j x^j,  d = a_{j-1} - a_j.
+    H is one dense list over the degrees L+2..k, multiplied by 1 + x in
+    place, one pass at C speed a unit of d, or, for d over half the list,
+    by one product with the walked C(d, t).  A pass skips the zeros above
+    the degrees H can reach and the degrees below k - (a_{j-1} - a_{k-1}),
+    which no later [x^j'] reaches, j' <= k.  The lead term is walked along
+    j."""
+    n = len(a) - run - 1
+    poly, gammas = [0] * n, []
+    live = lead = 0  # poly[live:] is 0
+    for j in range(run + 2, len(a) + 1):
+        d = a[j - 3] - a[j - 2]
+        if gammas:
+            if 2 * d <= n:
+                dead = len(a) - (a[j - 3] - a[-2]) - run - 2
+                for lo in map(max, range(dead, dead + d), repeat(0)):
+                    live += live < n
+                    poly[lo + 1:live] = map(add, poly[lo + 1:live], poly[lo:])
+            else:
+                series = list(accumulate(range(1, n), lambda c, t: c * (d + 1 - t) // t,
+                                         initial=1))
+                poly, live = [sum(map(mul, series, poly[m::-1])) for m in range(n)], n
+            poly[j - run - 3] += gammas[-1]
+            live = max(live, j - run - 2)
+        top, r = a[0] - a[j - 2], j - 1
+        lead = (lead * perm(top, d) // (r * perm(top - r, d - 1)) if lead and 3 * d <= r
+                else binomial(top, r) if top >= r else 0)
+        gammas.append(-lead - poly[j - run - 2])
+    return gammas
+
+
+def _walked_gammas(a: list[int], run: int) -> list[int]:
+    """gamma_{L+2}..gamma_k of the a_i past a leading run of L, each from
+    one row of its terms over i = 1 and i > L + 1, whose last entry is
+    C(0, 1) = 0.  The row is walked to the next coefficient's entry by
+    entry."""
     kept = a[:1] + a[run:]  # the a_i of the rows' indices i = 1 and i > L
     gammas, row = [1, 0], [0]  # gamma_1 and gamma_{L+1}, and gamma_{L+1}'s row at i = 1
     for j in range(run + 2, len(a) + 1):
         y, d = a[j - 2], a[j - 3] - a[j - 2]
+        walk = 3 * d  # the least bottom walked
         # r = j - i over the kept i: one range without a run (a chain costs ~2 % at k = 160).
         bottoms = range(j - 1, 1, -1) if run == 1 else chain((j - 1,), range(j - run - 1, 1, -1))
-        row = [c * perm(x - y, d) // (r * perm(x - y - r, d - 1)) if c and d <= r
+        row = [c * perm(x - y, d) // (r * perm(x - y - r, d - 1)) if c and walk <= r
                else binomial(x - y, r) if x - y >= r else 0
                for c, x, r in zip(row, kept, bottoms)]
         row.append(0)
         gammas.append(-sum(map(mul, row, gammas)))
-    gammas[1:1] = [0] * (run - 1)  # gamma_2..gamma_L
-    return tuple(gammas[: len(a)])
+    return gammas[2:]
 
 
 def count_below_decreasing_iterative(lam: HeightSequence) -> int:
@@ -349,27 +401,36 @@ def _oracle_plan(tops: Sequence[int]) -> tuple[int, Iterable[tuple[int, int]], i
     """
     runs = Counter(tops)
     heights, lengths = list(runs), list(runs.values())
-    # The conjugate's runs, lowest first: the tops above each gap, as many
-    # of them as the gap is wide.
-    gaps = list(map(sub, reversed(heights), chain(reversed(heights[:-1]), (0,))))
-    conjugate = list(accumulate(reversed(lengths)))
-    orientations = [([t + 1 for t in heights], lengths), ([t + 1 for t in conjugate], gaps)]
+    k, top = len(tops), heights[-1] if heights else 0
+
+    def conjugate():
+        # The conjugate's runs, lowest first: the tops above each gap, as
+        # many of them as the gap is wide.
+        gaps = list(map(sub, reversed(heights), chain(reversed(heights[:-1]), (0,))))
+        return [c + 1 for c in accumulate(reversed(lengths))], gaps
+
     # A product pays only for L > n weight >= n, so for a run longer than
-    # its row; without one, every run takes its L prefix sums.
-    long = any(any(map(gt, ls, ns)) for ns, ls in orientations)
-    weight = 1
-    if long:
-        # Every number the DP holds is at most the count, so at most the
-        # product of C(t + L, L) <= (t + L)^min(t, L) over the runs: of at
-        # most B bits.
-        bits = sum(map(mul, map(min, heights, lengths),
-                       map(int.bit_length, map(add, heights, lengths))))
-        weight = ((bits >> 10) + 1) ** 2  # w^2, w = B // 1024 + 1
+    # its row: L > t + 1 in the tops, and in the conjugate a gap
+    # t_i - t_(i-1) (t_0 = 0) wider than its row, one more than the
+    # k - i + 1 tops from t_i on.
+    long = (any(map(gt, lengths, map(add, heights, repeat(1))))
+            or any(map(gt, map(sub, tops, chain((0,), tops)), range(k + 1, 1, -1))))
+    if not long:
+        # Every run takes its L prefix sums, sum (t + 1) L = S + k cells on
+        # the tops and S + t_k on the conjugate, S the sum of the tops.
+        ns, ls = ([t + 1 for t in heights], lengths) if k <= top else conjugate()
+        return sum(tops) + min(k, top), zip(ns, ls), 1
+    # Every number the DP holds is at most the count, so at most the
+    # product of C(t + L, L) <= (t + L)^min(t, L) over the runs: of at most
+    # B bits.
+    bits = sum(map(mul, map(min, heights, lengths),
+                   map(int.bit_length, map(add, heights, lengths))))
+    weight = ((bits >> 10) + 1) ** 2  # w^2, w = B // 1024 + 1
     plans = []
-    for ns, ls in orientations:
+    for ns, ls in ([t + 1 for t in heights], lengths), conjugate():
         # A run costs n min(L, n weight) cells.
-        sums = map(min, ls, map(mul, ns, repeat(weight))) if long else ls
-        plans.append((sum(map(mul, ns, sums)), zip(ns, ls)))
+        cells = sum(map(mul, ns, map(min, ls, map(mul, ns, repeat(weight)))))
+        plans.append((cells, zip(ns, ls)))
     return (*min(plans, key=itemgetter(0)), weight)
 
 
@@ -466,8 +527,10 @@ def verify_identity_cor34(lam: HeightSequence) -> tuple[int, int, bool]:
     k = len(h)
     if k < 2:
         raise ValueError(f"identity needs length >= 2, got {k}")
+    # Entries with j > i + 1 have a negative bottom: 0, and no binomial call.
     m = trusted(IntMatrix, tuple(
-        tuple(binomial(h[i] + 1, i - j + 1) for j in range(k)) for i in range(k)
+        (*(binomial(x + 1, i - j + 1) for j in range(min(i + 2, k))), *[0] * (k - i - 2))
+        for i, x in enumerate(h)
     ))
     det_side = det_exact(m)
     iter_side = count_below_decreasing_iterative(lam)

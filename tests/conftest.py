@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, permutations
 
+import pytest
 from hypothesis import settings
 
 from rookpaths import (
@@ -18,6 +19,7 @@ from rookpaths import (
     subset_leq,
     subset_meet,
 )
+from rookpaths import lattice_paths
 
 # Property tests draw the same examples on every run and are not timed per
 # example, so a slow or busy machine cannot make them flaky.
@@ -147,6 +149,22 @@ def gammas_literal(h):
         g.append(-sum(binomial(h[i - 1] - h[j - 2] + j - i - 1, j - i) * g[i]
                       for i in range(1, j - 1)))
     return tuple(g[1:])
+
+
+GAMMA_ROUTES = ("_pushed_gammas", "_walked_gammas")
+
+
+def by_each_gamma_route(f, lam):
+    """[f(lam) with compute_gammas choosing its route, then f(lam) with it
+    sent to each route whatever the drops]."""
+    results = [f(lam)]
+    for name in GAMMA_ROUTES:
+        route = getattr(lattice_paths, name)
+        with pytest.MonkeyPatch.context() as m:
+            for other in GAMMA_ROUTES:
+                m.setattr(lattice_paths, other, route)
+            results.append(f(lam))
+    return results
 
 
 def iterative_literal(h):

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    by_each_gamma_route,
     cor35_rhs_literal,
     count_below_dp_literal,
     gammas_literal,
@@ -277,28 +278,44 @@ def test_determinant_route_calls_no_binomial(monkeypatch):
 
 
 def test_gamma_recursion_takes_afresh_only_binomials_within_the_largest_drop(monkeypatch):
-    # It walks every nonzero entry whose bottom r is at least the drop d in
-    # a_i = h_i - i, small tops included.  So an entry taken afresh lies in a
-    # flat run's zero tail, C(r - 2 + d, r), or has r < d: either way
-    # min(r, n - r) is at most the height drop d - 1, and so at most the
-    # boundary's largest.  Whole rows taken afresh fail here.
+    # Both routes walk every nonzero entry whose bottom r is at least three
+    # times the drop d in a_i = h_i - i, small tops included.  So an entry
+    # taken afresh lies in a flat run's zero tail, C(r - 2 + d, r), or has
+    # r < 3 d: either way min(r, n - r) < 3 d = 3 (height drop + 1), at most
+    # three times the boundary's largest height drop plus 2.  Whole rows
+    # taken afresh fail here, on either route.
     largest_drop = 0
 
     def short_binomial(n, r):
-        assert min(r, n - r) <= largest_drop, f"binomial({n}, {r}) taken afresh"
+        assert min(r, n - r) <= 3 * largest_drop + 2, f"binomial({n}, {r}) taken afresh"
         return binomial(n, r)
 
     monkeypatch.setattr(lattice_paths, "binomial", short_binomial)
     rng = random.Random(1985)
     boundaries = [range(k, 0, -1) for k in range(1, 41)]
     boundaries += [(h,) * k for h in (0, 1, 66, 67, 100, 10**4) for k in (1, 2, 12, 40)]
-    for top_drop in (1, 3):
+    for top_drop in (1, 3, 12):
         for _ in range(200):
             drops = [rng.randint(0, top_drop) for _ in range(rng.randint(0, 39))]
             boundaries.append(list(accumulate(drops, initial=rng.randint(0, 40)))[::-1])
     for h in map(tuple, boundaries):
         largest_drop = max(map(sub, h, h[1:]), default=0)
-        assert compute_gammas(dec(h)) == gammas_literal(h), h
+        assert by_each_gamma_route(compute_gammas, dec(h)) == [gammas_literal(h)] * 3, h
+
+
+def test_gamma_recursion_pushes_small_drops_and_walks_large_ones(monkeypatch):
+    # The staircase k = 160 drops D = 318 in a_i = h_i - i over its t = 159
+    # indices past h_1: 4 D^2 <= t (t + 1)^2, so it is pushed.  Heights
+    # 10^6 (160..1) drop 10^6 + 1 an index, 4 D^2 > t (t + 1)^2: walked.
+    def refused(a, run):
+        raise AssertionError("route not expected here")
+
+    for heights, other in [(range(160, 0, -1), "_walked_gammas"),
+                           ([10**6 * i for i in range(160, 0, -1)], "_pushed_gammas")]:
+        h = tuple(heights)
+        with monkeypatch.context() as m:
+            m.setattr(lattice_paths, other, refused)
+            assert compute_gammas(dec(h)) == gammas_literal(h)
 
 
 def test_gamma_recursion_skips_a_leading_flat_run(monkeypatch):

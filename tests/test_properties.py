@@ -4,6 +4,7 @@ The examples are derived from each test's name (the ``rookpaths`` profile
 in conftest.py), so every run checks the same inputs.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations
 
@@ -12,6 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    GAMMA_ROUTES,
+    by_each_gamma_route,
     det_bareiss_eager,
     det_cofactor,
     dim_submodule_literal,
@@ -38,6 +41,7 @@ from rookpaths import (
     iter_below,
     reduced_support,
 )
+from rookpaths import lattice_paths
 
 # Up to 50 more copies of the top height lead a decreasing boundary, the
 # flat run whose gammas are 0 and whose row indices the recursion skips.
@@ -98,6 +102,22 @@ def walked_boundaries(draw):
     drop = st.one_of(st.just(0), st.just(1), st.integers(2, 4), st.integers(5, 80),
                      st.integers(5, 10**4))
     drops = draw(st.lists(drop, min_size=k - 1, max_size=k - 1))
+    return _led_by_run(accumulate(drops, initial=draw(st.integers(0, 5))), draw(leading_runs))
+
+
+@st.composite
+def gamma_boundaries(draw):
+    """A decreasing boundary of length up to 40, led by a flat run of up to
+    50 more, whose drops pick the gamma recursion's route: mostly flat runs
+    and steps of 1-2 (pushed), drops up to 80 and 10^6 (walked), and at
+    most one drop of up to 10^9 anywhere, a single huge drop."""
+    k = draw(st.integers(1, 40))
+    small = st.integers(0, 2)
+    drop = draw(st.sampled_from([small, st.one_of(small, st.integers(3, 80)),
+                                 st.one_of(small, st.integers(3, 10**6))]))
+    drops = draw(st.lists(drop, min_size=k - 1, max_size=k - 1))
+    if drops and draw(st.booleans()):
+        drops[draw(st.integers(0, len(drops) - 1))] = draw(st.integers(0, 10**9))
     return _led_by_run(accumulate(drops, initial=draw(st.integers(0, 5))), draw(leading_runs))
 
 
@@ -169,6 +189,48 @@ def test_walked_routes_match_the_literal_references(lam):
     assert compute_gammas(lam) == gammas_literal(h)
     assert count_below_decreasing_iterative(lam) == iterative_literal(h)
     assert count_below_increasing_determinant(lam.mirror()) == hessenberg_det_literal(h[::-1])
+
+
+def test_both_gamma_routes_match_the_literal_references_exhaustive():
+    # Every decreasing sequence with k <= 6 and heights <= 6, then the same
+    # before a flat tail of 20, after one drop of 10^6, and after a flat run
+    # of two at 10^9 above it: each route forced, and the route
+    # compute_gammas picks, which is the push on long flat tails and small
+    # drops and the walk past them.
+    chosen = Counter()
+
+    def counted(name):
+        route = getattr(lattice_paths, name)
+
+        def call(a, run):
+            chosen[name] += 1
+            return route(a, run)
+        return call
+
+    total = 0
+    for k in range(1, 7):
+        for base in iter_below(HeightSequence.decreasing((6,) * k)):
+            b, top = base.heights, base.heights[0]
+            for h in (b, b + b[-1:] * 20, (top + 10**6, *b), (top + 10**9,) * 2 + b):
+                total += 1
+                lam = HeightSequence.decreasing(h)
+                with pytest.MonkeyPatch.context() as m:
+                    for name in GAMMA_ROUTES:
+                        m.setattr(lattice_paths, name, counted(name))
+                    compute_gammas(lam)
+                assert by_each_gamma_route(compute_gammas, lam) == [gammas_literal(h)] * 3
+                count = iterative_literal(h)
+                assert by_each_gamma_route(count_below_decreasing_iterative, lam) == [count] * 3
+    assert total == 4 * 1715
+    assert min(chosen[name] for name in GAMMA_ROUTES) > 1000, chosen
+
+
+@given(gamma_boundaries())
+def test_both_gamma_routes_match_the_literal_references(lam):
+    h = lam.heights
+    assert by_each_gamma_route(compute_gammas, lam) == [gammas_literal(h)] * 3
+    count = iterative_literal(h)
+    assert by_each_gamma_route(count_below_decreasing_iterative, lam) == [count] * 3
 
 
 @given(increasing_boundaries)
