@@ -1,14 +1,16 @@
 """Helpers shared by the other modules: binomials, Catalan numbers and
 Bareiss determinants on Python ints (nothing rounds or overflows), the input
-rules, short echoes of inputs in error messages, and ``trusted``, which
-builds a value derived from checked ones without checking it again."""
+rules, short echoes of inputs in error messages, and ``trusted`` and
+``trusted_all``, which build values derived from checked ones without
+checking them again."""
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 # An input echoed in an error message is clipped to this many characters.
 ECHO_CHARS = 20
@@ -132,6 +134,7 @@ def first_items(cap: int, items) -> tuple[list, bool]:
 
 
 _new, _setattr = object.__new__, object.__setattr__
+_drain = deque(maxlen=0).extend
 
 
 def trusted(cls, *values):
@@ -149,6 +152,19 @@ def trusted(cls, *values):
         if len(names) > 2:
             _setattr(obj, names[2], values[2])
     return obj
+
+
+def trusted_all(cls, first, seconds) -> list:
+    """[trusted(cls, first, s) for s in seconds] for a frozen dataclass cls
+    of two fields, built at C speed: one map makes the instances and two
+    more set the first field of each, then the second, so the instances'
+    attribute dicts share their keys as trusted's do."""
+    seconds = list(seconds)
+    made = list(map(_new, repeat(cls, len(seconds))))
+    name, second = cls.__match_args__
+    _drain(map(_setattr, made, repeat(name), repeat(first)))
+    _drain(map(_setattr, made, repeat(second), seconds))
+    return made
 
 
 @dataclass(frozen=True)

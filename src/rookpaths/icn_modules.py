@@ -66,7 +66,10 @@ MAX_INCL_EXCL_WORK = 100_000_000
 # even staircase costs 0.3 us a unit at 150 elements and 0.45 us at 500, and
 # one of a random k-subset of {1..3k} 0.3-0.4 us and 0.6-0.7 us.
 MAX_SUBMODULE_WORK = 1_000_000
-# A walked k-subset costs k + 1 units; 5M took 0.5-1.2 s, 90-160 MB on CPython 3.11.
+# A walked k-subset costs k + 1 units.  At 5M the walks through cli.run on
+# CPython 3.11 (2-vCPU VM) took 1.1-1.5 s and 230-270 MB peak RSS for k = 1
+# and 2, which walk without a table of tails, and 0.35-0.65 s and 75-125 MB
+# for k = 4 to 16; the union of the walked subsets holds most of the memory.
 MAX_ORACLE_WALK = 5_000_000
 
 

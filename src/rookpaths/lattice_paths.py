@@ -11,6 +11,7 @@ determinant, and a direct dynamic-programming count that serves as the oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +21,16 @@ from math import perm
 from operator import add, gt, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exact_math import IntMatrix, binomial, catalan, det_exact, first_items, int_entries, trusted
+from .exact_math import (
+    IntMatrix,
+    binomial,
+    catalan,
+    det_exact,
+    first_items,
+    int_entries,
+    trusted,
+    trusted_all,
+)
 
 # The DP oracle's work and rows are bounded by its plan's estimate in cells
 # (see _oracle_plan): L n for a run of L tops t, n = t + 1, taken one prefix
@@ -39,8 +49,16 @@ MAX_ORACLE_CELLS = 10_000_000
 MAX_STAIRCASE_WORK = 12_000_000_000
 # A listed sequence of length k costs k + 1 units, as a walked subset does for
 # the module oracle.  At 5 * 10^5 units the slowest shapes measured through
-# cli.run on CPython 3.11 (2-vCPU VM), k = 1 and k = 2, took about 1 s.
+# cli.run on CPython 3.11 (2-vCPU VM) are k = 1 and k = 2, which walk without
+# a table of tails: 250,000 and 166,176 lines in about 0.46 s and 0.34 s, and
+# 65 MB and 48 MB peak RSS.  From k = 3 on they took 0.28 s at most.
 MAX_LIST_WORK = 500_000
+# A walk takes its last m entries from a table of tails while the product of
+# (b_i + 1) over their bounds is at most MAX_TAIL_ROWS, for m up to
+# MAX_TAIL_LENGTH: the table holds at most 4096 tuples of at most 16 entries,
+# which tracemalloc put at 0.86 MB (4096 pairs at 0.39 MB).
+MAX_TAIL_ROWS = 4096
+MAX_TAIL_LENGTH = 16
 
 
 class Direction(Enum):
@@ -434,31 +452,43 @@ def _oracle_plan(tops: Sequence[int]) -> tuple[int, Iterable[tuple[int, int]], i
     return (*min(plans, key=itemgetter(0)), weight)
 
 
-def _runs(bounds: tuple[int, ...], step: int | None) -> Iterator[Iterable[tuple[int, ...]]]:
-    """The tuples below bounds in runs that share all but their last entry:
-    decreasing ones for step None, and for step 0 or 1 increasing ones whose
-    entries rise by at least step, from x_1 >= step.  Increasing bounds must
-    rise by at least step too, from b_1 >= step.
+def _runs(bounds: tuple[int, ...], step: int | None, table: bool = True,
+          least: int | None = None) -> Iterator[Iterable[tuple[int, ...]]]:
+    """The tuples below bounds in runs that share a prefix: decreasing ones
+    for step None, and for step 0 or 1 increasing ones whose entries rise
+    by at least step, from x_1 >= least (step by default).  Increasing
+    bounds must rise by at least step too, from b_1 >= least.  A decreasing
+    walk may start its x_1 at least too; its later entries start at 0.
 
     An odometer, not a recursion, so any length works.  It turns over the
-    first k - 1 entries only: after each prefix the rightmost entry below its
-    cap goes up by one and every entry after it drops to its least value (0,
-    the new entry, or the new entry plus 1, 2, ... when step is 1).  For each
-    prefix p the whole run of last entries y, 0..min(h_k, p_(k-1)) when
-    decreasing and p_(k-1) + step..h_k when increasing, is built at C speed
-    as the tuples p + (y,).
+    first k - m entries only: after each prefix the rightmost entry below
+    its cap goes up by one and every entry after it drops to its least
+    value (0, the new entry, or the new entry plus 1, 2, ... when step is
+    1).  For each prefix p the run of its tails t is built at C speed as
+    the tuples p + t.  With table (the default) the last m >= 2 entries
+    come from a table of tails (see _tail_length and _tail_rows), built
+    inside the call.  Otherwise, and when no m >= 2 fits, m = 1 and the run
+    is the last entries y, 0..min(h_k, p_(k-1)) when decreasing and
+    p_(k-1) + step..h_k when increasing, which stays lazy however long.
     """
+    if least is None:
+        least = step or 0
     if len(bounds) < 2:
-        yield zip(range(step or 0, bounds[0] + 1)) if bounds else [()]
+        yield zip(range(least, bounds[0] + 1)) if bounds else [()]
         return
-    *head, top = bounds
     decreasing = step is None
+    m = _tail_length(bounds) if table else 1
+    head, top = bounds[:-m], bounds[-1]
+    row = _tail_rows(bounds[-m:], step) if m > 1 else None
     k = len(head)
-    x = list(range(1, k + 1)) if step else [0] * k
+    x = [least, *[0] * (k - 1)] if decreasing else [least + step * j for j in range(k)]
     while True:
         p = tuple(x)
-        last = range(min(top, x[-1]) + 1) if decreasing else range(x[-1] + step, top + 1)
-        yield map(p.__add__, zip(last))
+        if row:
+            yield map(p.__add__, row(x[-1]))
+        else:
+            last = range(min(top, x[-1]) + 1) if decreasing else range(x[-1] + step, top + 1)
+            yield map(p.__add__, zip(last))
         i = k - 1
         while i >= 0 and (x[i] >= head[i] or decreasing and i and x[i] >= x[i - 1]):
             i -= 1
@@ -467,6 +497,58 @@ def _runs(bounds: tuple[int, ...], step: int | None) -> Iterator[Iterable[tuple[
         x[i] += 1
         least = 0 if decreasing else x[i]
         x[i + 1 :] = range(least + 1, least + k - i) if step else [least] * (k - 1 - i)
+
+
+def _tail_length(bounds: tuple[int, ...]) -> int:
+    """m, the number of last entries a walk of k >= 3 entries takes from
+    its table of tails: the most, up to MAX_TAIL_LENGTH and k - 1, whose
+    bounds' product of (b_i + 1), which bounds the table's size, is at most
+    MAX_TAIL_ROWS.  1, for no table, when k < 3 or no m >= 2 fits."""
+    m, size = 0, 1
+    if len(bounds) >= 3:
+        for b in islice(reversed(bounds), min(MAX_TAIL_LENGTH, len(bounds) - 1)):
+            size *= b + 1
+            if size > MAX_TAIL_ROWS:
+                break
+            m += 1
+    return m if m >= 2 else 1
+
+
+def _tail_rows(tail: tuple[int, ...], step: int | None):
+    """row(c): the list of the tails below tail, in _runs' order, that may
+    follow a prefix ending in c.  Every row is a slice of one table, the
+    tails of the rows asked for so far in lexicographic order, so the table
+    holds at most the product of (t_i + 1) tuples.  The table grows only as
+    a row asks, by _runs without a table, so building a row never costs
+    more than the row yields.
+
+    A decreasing row after c is the tails of first entry up to min(c, t_1),
+    keyed so: a prefix of the table, which grows by the tails of the next
+    first entries as c does.  An increasing one is the tails of first entry
+    at least c + step, a suffix of the table, which the first row builds
+    whole: _runs' first prefix ends in the least c of all."""
+    table: list[tuple[int, ...]] = []
+    cuts: dict[int, int] = {}
+    first, rest = tail[0], tail[1:]
+    if step is None:
+        def row(c):
+            c = min(c, first)
+            end = cuts.get(c)
+            if end is None:
+                built = table[-1][0] if table else -1
+                if built < c:
+                    table.extend(chain.from_iterable(_runs((c, *rest), None, False, built + 1)))
+                end = cuts[c] = bisect_left(table, (c + 1,))
+            return table[:end]
+    else:
+        def row(c):
+            start = cuts.get(c)
+            if start is None:
+                if not table:
+                    table.extend(chain.from_iterable(_runs(tail, step, False, c + step)))
+                start = cuts[c] = bisect_left(table, (c + step,))
+            return table[start:]
+    return row
 
 
 def iter_monotone_below(
@@ -482,13 +564,14 @@ def iter_monotone_below(
     return chain.from_iterable(_runs(bounds, None if direction is Direction.DECREASING else 0))
 
 
-def iter_subsets_below(elems: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def iter_subsets_below(elems: tuple[int, ...], table: bool = True) -> Iterator[tuple[int, ...]]:
     """Yield every strictly increasing positive tuple t dominated by the
     strictly increasing positive tuple s = elems (t_i <= s_i), in ascending
-    lexicographic order: the runs of _runs with step 1, so t_k runs over
-    t_(k-1) + 1..s_k.
+    lexicographic order: the runs of _runs with step 1.  table=False walks
+    without a table of tails, so that t_k runs over t_(k-1) + 1..s_k, which
+    is cheaper for a walk of a few items.
     """
-    return chain.from_iterable(_runs(elems, 1))
+    return chain.from_iterable(_runs(elems, 1, table))
 
 
 def iter_below(h: HeightSequence) -> Iterator[HeightSequence]:
@@ -505,12 +588,14 @@ class BelowEnumeration(NamedTuple):
 def enumerate_below(h: HeightSequence, cap: int) -> BelowEnumeration:
     """List the sequences below h in lexicographic order, at most cap of them.
     A listing of more than MAX_LIST_WORK // (k + 1) sequences of length k is
-    refused once one past that many has been listed."""
+    refused once one past that many has been listed.  The items are walked
+    as tuples and built as sequences in one call (exact_math.trusted_all)."""
     limit = MAX_LIST_WORK // (len(h) + 1)
-    items, truncated = first_items(cap, lambda: islice(iter_below(h), limit + 1))
-    if len(items) > limit:
+    walk = partial(iter_monotone_below, h.heights, h.direction)
+    heights, truncated = first_items(cap, lambda: islice(walk(), limit + 1))
+    if len(heights) > limit:
         raise ValueError(f"listing exceeds bound {limit} sequences of length {len(h)}")
-    return BelowEnumeration(items, truncated)
+    return BelowEnumeration(trusted_all(HeightSequence, h.direction, heights), truncated)
 
 
 def verify_identity_cor34(lam: HeightSequence) -> tuple[int, int, bool]:

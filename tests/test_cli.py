@@ -154,18 +154,20 @@ def test_monoid_size_builds_no_map(monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_icn", refuse)
     monkeypatch.setattr(rook_monoid, "trusted", refuse)
+    monkeypatch.setattr(rook_monoid, "trusted_all", refuse)
     assert invoke(["monoid-size", "--n", "10"]) == (0, "58786\n", "")
 
 
 def test_monoid_list_builds_no_map_past_the_cap(monkeypatch):
     built = []
-    trusted = rook_monoid.trusted
+    trusted_all = rook_monoid.trusted_all
 
-    def counted(cls, *values):
-        built.append(values)
-        return trusted(cls, *values)
+    def counted(cls, first, seconds):
+        seconds = list(seconds)
+        built.extend(seconds)
+        return trusted_all(cls, first, seconds)
 
-    monkeypatch.setattr(rook_monoid, "trusted", counted)
+    monkeypatch.setattr(rook_monoid, "trusted_all", counted)
     code, out, err = invoke(["monoid-list", "--n", "10", "--cap", "5"])
     assert (code, len(out.splitlines()), err) == (0, 5, "output truncated at cap\n")
     assert len(built) <= 6

@@ -12,6 +12,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from itertools import combinations, product
+from operator import le
 
 import pytest
 
@@ -30,6 +31,7 @@ from rookpaths import (
     compose,
     dim_submodule,
     downset,
+    enumerate_below,
     enumerate_icn,
     format_module_vector,
     heights_from_path,
@@ -42,7 +44,7 @@ from rookpaths import (
     subset_meet,
     to_rook_matrix,
 )
-from rookpaths.exact_math import trusted
+from rookpaths.exact_math import trusted, trusted_all
 from rookpaths.icn_modules import _heights_for_subset
 
 
@@ -180,6 +182,43 @@ def test_trusted_values_share_their_keys():
         assert sys.getsizeof(vars(made)) == sys.getsizeof(vars(checked)), cls
         assert (per_instance_bytes(lambda: trusted(cls, *values))
                 <= per_instance_bytes(lambda: cls(*values))), cls
+
+
+def test_values_built_in_bulk_match_trusted_and_checked_ones():
+    cases = [
+        (HeightSequence, Direction.INCREASING, [(0,), (1, 2), (2, 2, 5)]),
+        (HeightSequence, Direction.DECREASING, [(2, 1), (0,), (7, 7, 0)]),
+        (PartialInjection, 3, [(), ((2, 1),), ((1, 1), (3, 2))]),
+    ]
+    for cls, first, seconds in cases:
+        made = trusted_all(cls, first, iter(seconds))
+        assert len(made) == len(seconds)
+        for value, second in zip(made, seconds):
+            one, checked = trusted(cls, first, second), cls(first, second)
+            assert type(value) is cls and value == one == checked
+            fields_in_order = [list(vars(v).items()) for v in (value, one, checked)]
+            assert fields_in_order[0] == fields_in_order[1] == fields_in_order[2]
+            assert sys.getsizeof(vars(value)) == sys.getsizeof(vars(checked)), cls
+    assert trusted_all(PartialInjection, 3, []) == []
+    with pytest.raises(ValueError):
+        trusted_all(LatticePath, (0, 0), [()])  # three fields
+
+
+def test_listings_built_in_bulk():
+    for h in height_sequences():
+        for x in enumerate_below(h, 10**6).items:
+            assert_checked(x)
+    for n in range(1, 10):
+        # Each domain of {1..n} in lexicographic order, then the ranges
+        # below it, by the checked constructor.
+        universe = range(1, n + 1)
+        domains = sorted(c for k in range(n + 1) for c in combinations(universe, k))
+        expected = [PartialInjection(n, tuple(zip(dom, ran))) for dom in domains
+                    for ran in combinations(universe, len(dom)) if all(map(le, ran, dom))]
+        made = enumerate_icn(n)
+        assert made == expected, n
+        assert [list(vars(f).items()) for f in made] == [list(vars(f).items()) for f in expected]
+        assert enumerate_icn(n, 7) == expected[:7]
 
 
 def test_derived_values_are_not_checked_again(monkeypatch):

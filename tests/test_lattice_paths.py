@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from bisect import bisect_left
 from itertools import (
     accumulate, chain, combinations, combinations_with_replacement, groupby, islice, product
 )
-from operator import sub
+from collections import deque
+from operator import le, sub
 
 import pytest
 from hypothesis import given
@@ -30,6 +32,7 @@ from rookpaths import (
     count_below_oracle,
     det_exact,
     enumerate_below,
+    enumerate_icn,
     heights_from_path,
     is_below,
     iter_below,
@@ -40,9 +43,12 @@ from rookpaths import (
 from rookpaths import lattice_paths
 from rookpaths.lattice_paths import (
     MAX_STAIRCASE_WORK,
+    MAX_TAIL_LENGTH,
+    MAX_TAIL_ROWS,
     _count_below,
     _oracle_plan,
     _runs,
+    _tail_length,
     iter_monotone_below,
     iter_subsets_below,
 )
@@ -600,8 +606,9 @@ def test_enumerate_below_listing_bound(monkeypatch):
     assert lattice_paths.MAX_LIST_WORK // 8 >= 2300  # the longest listings benchmarked
     monkeypatch.setattr(lattice_paths, "MAX_LIST_WORK", 30)
     listed = []
-    monkeypatch.setattr(lattice_paths, "iter_below",
-                        lambda h: (listed.append(x) or x for x in iter_below(h)))
+    monkeypatch.setattr(lattice_paths, "iter_monotone_below",
+                        lambda bounds, direction: (listed.append(x) or x
+                                                   for x in iter_monotone_below(bounds, direction)))
     assert enumerate_below(dec((3, 3)), 100) == (list(iter_below(dec((3, 3)))), False)
     result = enumerate_below(dec((4, 4)), 10)
     assert len(result.items) == 10 and result.truncated
@@ -654,6 +661,97 @@ def test_enumerator_edge_cases():
     assert list(iter_subsets_below((3,))) == [(1,), (2,), (3,)]
     # A run of last entries is lazy: the first items come from a run of 10^30 + 1.
     assert list(islice(iter_monotone_below((5, 10**30), INC), 3)) == [(0, 0), (0, 1), (0, 2)]
+
+
+# Row bounds and tail caps for the tail-table sweeps, and the tail lengths
+# the sweep below takes under each: (0, 16) walks every bound without a
+# table, a row bound of 6 puts the table's edge among small bounds, the caps
+# 2 and 3 cut tails that would be longer, and the library's limits take
+# tails of up to 5 entries on the sweep's bounds.
+TABLE_LIMITS = [(0, 16, {1}), (6, 16, {1, 2, 3, 4}), (30, 2, {1, 2}), (30, 3, {1, 2, 3}),
+                (MAX_TAIL_ROWS, MAX_TAIL_LENGTH, {1, 2, 3, 4, 5})]
+
+
+def walks_below(h, s):
+    """The walks below h in both directions and below the subset s, with and
+    without a table, each against its per-item reference.  Returns the
+    tail lengths the walks took."""
+    for direction, bound in ((INC, h), (DEC, h[::-1])):
+        assert (list(iter_monotone_below(bound, direction))
+                == list(monotone_below_odometer(bound, direction))), (bound, direction)
+    expected = [t for t in combinations(range(1, max(s, default=0) + 1), len(s))
+                if all(map(le, t, s))]
+    assert list(iter_subsets_below(s)) == expected == list(iter_subsets_below(s, False)), s
+    return {_tail_length(h), _tail_length(h[::-1]), _tail_length(s)}
+
+
+@pytest.mark.parametrize("rows, length, lengths", TABLE_LIMITS)
+def test_tail_table_walks_match_the_per_item_references(monkeypatch, rows, length, lengths):
+    monkeypatch.setattr(lattice_paths, "MAX_TAIL_ROWS", rows)
+    monkeypatch.setattr(lattice_paths, "MAX_TAIL_LENGTH", length)
+    taken = set()
+    bounds = [b for k in range(6) for b in combinations_with_replacement(range(5), k)]
+    subsets = [s for k in range(9) for s in combinations(range(1, 9), k)]
+    for b, s in zip(bounds, subsets):
+        taken |= walks_below(b, s)
+    for b in bounds[len(subsets):]:
+        taken |= walks_below(b, ())
+    for s in subsets[len(bounds):]:
+        taken |= walks_below((), s)
+    assert taken == lengths
+
+
+@given(st.sampled_from(TABLE_LIMITS),
+       st.lists(st.integers(0, 6), max_size=10).map(lambda xs: tuple(sorted(xs))),
+       st.sets(st.integers(1, 14)).map(lambda s: tuple(sorted(s))))
+def test_tail_table_walks_match_the_per_item_references_on_longer_bounds(limits, h, s):
+    rows, length, _ = limits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice_paths, "MAX_TAIL_ROWS", rows)
+        patch.setattr(lattice_paths, "MAX_TAIL_LENGTH", length)
+        walks_below(h, s)
+
+
+def test_tail_table_edge_cases():
+    # 20,000 zeros take a tail of the cap's length: no recursion builds it.
+    assert _tail_length((0,) * 20_000) == MAX_TAIL_LENGTH
+    # Past the row bound the last entries run lazily, here over 10^30 + 1.
+    assert _tail_length((1, 5, 10**30)) == 1
+    assert list(islice(iter_monotone_below((1, 5, 10**30), INC), 3)) == [
+        (0, 0, 0), (0, 0, 1), (0, 0, 2)]
+    # A head bound of 10^30 keys its rows by min(x_1, 3): a table of at most
+    # 4 * 3 tuples over 10^5 items.
+    bound = (10**30, 3, 2)
+    assert _tail_length(bound) == 2
+    assert (list(islice(iter_monotone_below(bound, DEC), 10**5))
+            == list(islice(monotone_below_odometer(bound, DEC), 10**5)))
+    tracemalloc.start()
+    try:
+        deque(islice(iter_monotone_below(bound, DEC), 10**5), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000
+
+
+def test_tail_table_takes_long_runs(monkeypatch):
+    # Without a table these take 1544, 561 and 1430 runs of their last entry.
+    for bounds, step in (((8, 7, 5, 4, 3, 3, 1), None), ((1, 2, 3, 4, 5, 7, 8), 0),
+                         (tuple(range(2, 17, 2)), 1)):
+        plain = sum(1 for _ in _runs(bounds, step, False))
+        assert plain in (1544, 561, 1430)
+        assert sum(1 for _ in _runs(bounds, step)) <= plain // 10
+    tails, tail_rows = [], lattice_paths._tail_rows
+    monkeypatch.setattr(lattice_paths, "_tail_rows",
+                        lambda tail, step: tails.append(tail) or tail_rows(tail, step))
+    list(iter_subsets_below(tuple(range(2, 17, 2))))
+    list(iter_monotone_below((1, 2, 3, 4, 5, 7, 8), INC))
+    list(iter_monotone_below((8, 7, 5, 4, 3, 3, 1), DEC))
+    assert tails == [(12, 14, 16), (4, 5, 7, 8), (5, 4, 3, 3, 1)]
+    # The monoid's domains have a few ranges each, walked without a table.
+    list(iter_subsets_below(tuple(range(2, 17, 2)), False))
+    enumerate_icn(8)
+    assert len(tails) == 3
 
 
 def test_enumeration_size_matches_count():
