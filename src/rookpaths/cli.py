@@ -182,7 +182,7 @@ def _cmd_reduce(args):
     reduced = reduced_form(parse_module_vector(args.vector, args.n))
     formed = format_module_vector(reduced)
     fields = {
-        "reduced_support": [s.elems for s, _ in reduced.sorted_terms()],
+        "reduced_support": [s.elems for s in reduced.terms],
         "reduced_form": formed,
     }
     return {"n": args.n, "vector": args.vector}, fields, [formed]

@@ -118,7 +118,7 @@ def parse_ints(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         message = f"expected comma-separated integers, got {quoted(text)}"
         raise ValueError(bad_int_message(text, message)) from None

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, islice
+from operator import le, lt
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -53,15 +54,16 @@ from .rook_monoid import PartialInjection, is_order_decreasing, is_order_preserv
 # Inclusion-exclusion over a k-subset S takes O(k^2) binomials whose size
 # grows with k and with b, the bit length of the largest element; its work
 # counts k^3 b.  At 10^8 the slowest shapes measured on CPython 3.11 (2-vCPU
-# VM), the top 19 of {1..2^14285} and the top 14 of {1..2^30000}, took about
-# 0.85 s; the top 215 of {1..1000} took 0.11 s.
+# VM), the top 27 of {1..2^5000}, the top 19 of {1..2^14286} and the top 14
+# of {1..2^30001}, took 0.34-0.4 s; the top 215 of {1..1000} took 0.01 s.
 MAX_INCL_EXCL_WORK = 100_000_000
 # The reduced support and dim_submodule count their work in subset elements,
 # against one budget: each term reduced costs its size times the maxima kept
 # before it, each meet of two k-subsets taken k, and each meet whose dimension
-# is summed k^2.  On CPython 3.11 (2-vCPU VM) a unit took 0.35-1.4 us: the
-# 1000-term antichain {i, 2001 - i} came to 0.999M units and 0.74 s through
-# `reduce`, and 100 equal-sum 6-subsets of {1..30} to 0.92M units and 1.2 s.
+# is summed k^2.  On CPython 3.11 (2-vCPU VM) a unit took 0.14-0.7 us: the
+# 1000-term antichain {i, 2001 - i} came to 0.999M units and 0.14 s through
+# `reduce`, and 100 equal-sum 6-subsets of {1..30} to up to 0.99M units and
+# 0.64 s through `dim-vector`.
 # The gamma recursion walks its rows across every drop, so a dimension of an
 # even staircase costs 0.3 us a unit at 150 elements and 0.45 us at 500, and
 # one of a random k-subset of {1..3k} 0.3-0.4 us and 0.6-0.7 us.
@@ -84,7 +86,7 @@ class Subset:
         n = positive_ambient(self.n)
         elems = int_entries(self.elems, "elements must be integers in {low}..{high}", 1, n)
         object.__setattr__(self, "elems", elems)
-        if any(a >= b for a, b in zip(elems, elems[1:])):
+        if not all(map(lt, elems, elems[1:])):
             raise ValueError(f"elements must be strictly increasing, got {elems}")
 
     def __len__(self) -> int:
@@ -102,9 +104,7 @@ def _subset_sort_key(s: Subset) -> tuple[int, tuple[int, ...]]:
 def subset_leq(t: Subset, s: Subset) -> bool:
     """Componentwise order on equal-size subsets; sizes differ means incomparable."""
     same_ambient(t, s)
-    if len(t.elems) != len(s.elems):
-        return False
-    return all(a <= b for a, b in zip(t.elems, s.elems))
+    return len(t.elems) == len(s.elems) and all(map(le, t.elems, s.elems))
 
 
 def subset_meet(s: Subset, t: Subset) -> Subset:
@@ -198,23 +198,30 @@ def _maximal_terms(v: ModuleVector) -> tuple[list[Subset], int]:
     """The maximal subsets of the support in descending (size, elements)
     order, and the work spent finding them.  A subset lies only below
     subsets of its size that come later in lexicographic order, so in that
-    order a term need only be compared with the maximal terms kept before
-    it.  That work is checked against MAX_SUBMODULE_WORK before each term is
-    compared."""
+    order a term need only be compared with the maximal terms of its size
+    kept before it.  The work charges each term its size times all the
+    maxima kept before it, and is checked against MAX_SUBMODULE_WORK before
+    the term is compared."""
     kept: list[Subset] = []
     work = 0
-    for s in sorted(v.terms, key=_subset_sort_key, reverse=True):
-        work += len(s) * len(kept)
-        if work > MAX_SUBMODULE_WORK:
-            raise ValueError(f"reduced-support work exceeds bound {MAX_SUBMODULE_WORK}")
-        if not any(subset_leq(s, t) for t in kept):
-            kept.append(s)
+    for k, group in groupby(sorted(v.terms, key=_subset_sort_key, reverse=True), key=len):
+        maxima: list[tuple[int, ...]] = []  # the elements of the kept k-subsets
+        for s in group:
+            work += k * len(kept)
+            if work > MAX_SUBMODULE_WORK:
+                raise ValueError(f"reduced-support work exceeds bound {MAX_SUBMODULE_WORK}")
+            e = s.elems
+            if not any(all(map(le, e, t)) for t in maxima):
+                maxima.append(e)
+                kept.append(s)
     return kept, work
 
 
 def reduced_form(v: ModuleVector) -> ModuleVector:
-    """Coefficient-1 sum over the reduced support; generates the same submodule."""
-    return ModuleVector(v.n, {s: 1 for s in reduced_support(v)})
+    """Coefficient-1 sum over the reduced support; generates the same
+    submodule.  Its terms run in ascending (size, elements) order."""
+    kept, _ = _maximal_terms(v)
+    return trusted(ModuleVector, v.n, MappingProxyType(dict.fromkeys(reversed(kept), Fraction(1))))
 
 
 def submodule_equal(v: ModuleVector, w: ModuleVector) -> bool:
@@ -265,7 +272,12 @@ def dim_principal_incl_excl(s: Subset) -> int:
         raise ValueError(f"subset work k^3 * bit_length(max S) exceeds bound {MAX_INCL_EXCL_WORK}")
     f = [0] * k + [1]  # f[q - 1] is F[q]
     for q in range(k - 1, -1, -1):
-        f[q] = -sum(binomial(elems[q] + d, d) * f[q + d] for d in range(1, k + 1 - q))
+        # C(s + d, d) walked along d: C(s + d - 1, d - 1) (s + d) / d.
+        s_q, c, acc = elems[q], 1, 0
+        for d in range(1, k + 1 - q):
+            c = c * (s_q + d) // d
+            acc += c * f[q + d]
+        f[q] = -acc
     return (-1) ** k * sum(f)
 
 
@@ -405,7 +417,8 @@ def parse_module_vector(text: str, n: int) -> ModuleVector:
 
     Coefficients are rationals like "-2" or "3/2"; "{}" denotes the empty
     subset.  Repeated subsets accumulate.  "0" (or an empty string) is the
-    zero vector.
+    zero vector.  Each term is checked here, once, and the vector is built
+    from the checked terms.
     """
     stripped = text.strip()
     if stripped in ("", "0"):
@@ -413,26 +426,39 @@ def parse_module_vector(text: str, n: int) -> ModuleVector:
     # Fraction computes 10**e for an exponent e, so e past the int digit
     # limit (4300 where the interpreter sets none) is refused before that.
     limit = int_digit_limit() or 4300
-    terms: dict[Subset, Fraction] = {}
+    terms: dict[Subset, int | Fraction] = {}
     for part in stripped.split(";"):
         coeff_text, sep, set_text = part.partition(":")
         if not sep:
             raise ValueError(f"term {quoted(part)} is missing ':'")
-        if _exponent(coeff_text) > limit:
-            raise ValueError(
-                f"coefficient exponents are limited to {limit}, got {quoted(coeff_text)}"
-            )
-        try:
-            coeff = Fraction(coeff_text.strip())
-        except (ValueError, ZeroDivisionError):
-            message = f"bad coefficient {quoted(coeff_text)}"
-            raise ValueError(bad_int_message(coeff_text, message)) from None
+        coeff = _coefficient(coeff_text, limit)
         set_text = set_text.strip()
         if not (set_text.startswith("{") and set_text.endswith("}")):
             raise ValueError(f"subset {quoted(set_text)} must be brace-delimited")
         subset = Subset(n, parse_ints(set_text[1:-1]))
-        terms[subset] = terms.get(subset, Fraction(0)) + coeff
-    return ModuleVector(n, terms)
+        total = terms.get(subset)
+        terms[subset] = coeff if total is None else total + coeff
+    return trusted(
+        ModuleVector, n, MappingProxyType({s: Fraction(c) for s, c in terms.items() if c})
+    )
+
+
+def _coefficient(coeff_text: str, limit: int) -> int | Fraction:
+    """The value of a coefficient's text, as Fraction(text.strip()) reads it.
+    A plain integer is read by int(); an underscore goes to Fraction, which
+    accepts digit groups like "1_0" only from Python 3.11 on."""
+    if "_" not in coeff_text:
+        try:
+            return int(coeff_text.strip())
+        except ValueError:
+            pass
+    if _exponent(coeff_text) > limit:
+        raise ValueError(f"coefficient exponents are limited to {limit}, got {quoted(coeff_text)}")
+    try:
+        return Fraction(coeff_text.strip())
+    except (ValueError, ZeroDivisionError):
+        message = f"bad coefficient {quoted(coeff_text)}"
+        raise ValueError(bad_int_message(coeff_text, message)) from None
 
 
 def format_module_vector(v: ModuleVector) -> str:
@@ -441,6 +467,6 @@ def format_module_vector(v: ModuleVector) -> str:
         return "0"
     parts = []
     for subset, coeff in v.sorted_terms():
-        inner = ",".join(str(e) for e in subset.elems)
+        inner = ",".join(map(str, subset.elems))
         parts.append(f"{coeff}:{{{inner}}}")
     return ";".join(parts)

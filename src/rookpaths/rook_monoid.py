@@ -9,6 +9,7 @@ exactly the upper triangular rook matrices under the usual matrix encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, islice, repeat
 
 from .exact_math import (
@@ -102,7 +103,14 @@ def to_rook_matrix(f: PartialInjection) -> IntMatrix:
 def format_two_line(f: PartialInjection) -> str:
     """Two-line text form "s1 s2 ... / i1 i2 ..."; the zero map prints as "/"."""
     p = f.pairs
-    return (" ".join([str(s) for s, _ in p]) + " / " + " ".join([str(i) for _, i in p])).strip()
+    return _two_line_template(len(p)) % sum(zip(*p), ())  # the sources, then the images
+
+
+@lru_cache(maxsize=64)
+def _two_line_template(k: int) -> str:
+    """The "%d" template of the two-line form of a map with k pairs; the
+    cache is bounded, so maps of many sizes cannot grow it."""
+    return " / ".join([" ".join(["%d"] * k)] * 2).strip()
 
 
 def parse_two_line(text: str, n: int) -> PartialInjection:

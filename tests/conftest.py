@@ -20,6 +20,7 @@ from rookpaths import (
     subset_meet,
 )
 from rookpaths import lattice_paths
+from rookpaths.exact_math import bad_int_message, int_digit_limit, quoted
 
 # Property tests draw the same examples on every run and are not timed per
 # example, so a slow or busy machine cannot make them flaky.
@@ -231,6 +232,25 @@ def mixed_family_literal(k, m):
     total -= sum(binomial(2 * (k - i), k + 1 - i) * g[i] for i in range(k - m + 3, k))
     total -= sum(2 * binomial(2 * (k - i - 1), k - i) * g[i] for i in range(k - m + 3, k - 1))
     return total
+
+
+def coefficient_literal(coeff_text):
+    """A vector coefficient's value as parse_module_vector read every one
+    before its int() fast path: exponents past the int digit limit (4300
+    where the interpreter sets none) refused, then Fraction(text.strip()),
+    its errors worded as the parser words them."""
+    limit = int_digit_limit() or 4300
+    try:
+        exponent = abs(int(coeff_text.lower().partition("e")[2]))
+    except ValueError:
+        exponent = 0
+    if exponent > limit:
+        raise ValueError(f"coefficient exponents are limited to {limit}, got {quoted(coeff_text)}")
+    try:
+        return Fraction(coeff_text.strip())
+    except (ValueError, ZeroDivisionError):
+        message = f"bad coefficient {quoted(coeff_text)}"
+        raise ValueError(bad_int_message(coeff_text, message)) from None
 
 
 def reduced_support_literal(v):

@@ -6,6 +6,7 @@ from itertools import combinations, count
 import pytest
 
 from conftest import (
+    coefficient_literal,
     incl_excl_literal,
     independent_antichain,
     mixed_family_literal,
@@ -155,6 +156,32 @@ def test_parse_and_format_round_trip():
     assert parse_module_vector("1:{1};-1:{1}", 3) == zero_vector(3)
 
 
+# Coefficient texts at the edges of what int() and Fraction read: digit
+# groups (which Fraction reads only from Python 3.11 on, and int() on every
+# version), a non-ASCII digit, padding, signs, other bases, exponents,
+# ratios, a zero denominator, more digits than the int digit limit, and an
+# exponent past it.
+COEFFICIENT_TEXTS = [
+    "1_0", "1__0", "_1", "\u0663", "\xa03\t", "\t-2\xa0", "+3", "-0", "0x10", "1e2",
+    "1.5e3", "3/2", "3/0", "9" * 4301, "1e99999",
+]
+
+
+def test_parsed_coefficients_read_as_fraction_reads_them():
+    for text in COEFFICIENT_TEXTS:
+        vector = f"{text}:{{2}};1:{{1}}"
+        try:
+            value = coefficient_literal(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                parse_module_vector(vector, 3)
+            assert str(caught.value) == str(exc), text
+        else:
+            v = parse_module_vector(vector, 3)
+            assert v == ModuleVector(3, {Subset(3, (2,)): value, Subset(3, (1,)): 1}), text
+            assert all(type(c) is Fraction for c in v.terms.values()), text
+
+
 def test_parse_module_vector_errors():
     for bad in ["1:(1)", "x:{1}", "1:{1,}", "{1}", "1:{0}", "1:{9}", "1/0:{1}"]:
         with pytest.raises(ValueError):
@@ -284,37 +311,68 @@ def test_reduced_support_edge_cases():
     assert reduced_form(v) == basis_vector(Subset(4, (1, 2)))
 
 
+def _spy_le(monkeypatch, calls):
+    """Record the first argument of every element comparison the reduced
+    support makes (through icn_modules.le)."""
+    monkeypatch.setattr(icn_modules, "le", lambda a, b: calls.append(a) or a <= b)
+
+
 def test_reduced_support_compares_each_term_with_the_kept_maxima_only(monkeypatch):
     # In descending order each one-element term is compared with the single
-    # maximum {3000} only; comparing every pair of terms takes 3000^2 calls.
+    # maximum {3000} only, one element comparison each; comparing every pair
+    # of terms takes 3000^2.
     calls = []
-    monkeypatch.setattr(
-        icn_modules, "subset_leq", lambda t, s: calls.append(t) or subset_leq(t, s)
-    )
+    _spy_le(monkeypatch, calls)
     n = 3000
     v = ModuleVector(n, {Subset(n, (e,)): 1 for e in range(1, n + 1)})
     assert reduced_support(v) == {Subset(n, (n,))}
-    assert len(calls) < 2 * n
+    assert len(calls) == n - 1
 
 
 def test_reduced_support_work_bound(monkeypatch):
     # The t terms {i, 2t + 1 - i} form an antichain: the j-th one (from 0) is
     # compared with the j kept before it, 2j units, t (t - 1) units in all.
+    # Each such comparison reads both elements (the first is below, the
+    # second above), so the element comparisons count the units.
     def antichain(t):
         return ModuleVector(2 * t, {Subset(2 * t, (i, 2 * t + 1 - i)): 1 for i in range(1, t + 1)})
 
     assert 1000 * 999 <= MAX_SUBMODULE_WORK < 1001 * 1000
     compared = []
     monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 100)
-    monkeypatch.setattr(
-        icn_modules, "subset_leq", lambda t, s: compared.append(t) or subset_leq(t, s)
-    )
+    _spy_le(monkeypatch, compared)
     assert len(reduced_support(antichain(10))) == 10  # 90 units
+    assert len(compared) == 90
     compared.clear()
     with pytest.raises(ValueError, match="^reduced-support work exceeds bound 100$"):
         reduced_support(antichain(11))  # 110 units
     # The bound holds before the last term is compared, not after.
-    assert 2 * len(compared) == 90
+    assert len(compared) == 90
+    # A term is charged for every maximum kept before it, of any size: after
+    # the five 2-subsets {i, 11 - i} (20 units), {10} costs 5 units and {9}
+    # 6, 31 in all.
+    v = ModuleVector(10, {**antichain(5).terms, Subset(10, (10,)): 1, Subset(10, (9,)): 1})
+    monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 31)
+    assert len(reduced_support(v)) == 6
+    monkeypatch.setattr(icn_modules, "MAX_SUBMODULE_WORK", 30)
+    with pytest.raises(ValueError, match="^reduced-support work exceeds bound 30$"):
+        reduced_support(v)
+
+
+def test_reduced_support_exhaustive_on_up_to_four_subsets():
+    # Every set of up to 4 of the 32 subsets of {1..5}, against the maximal
+    # ones found by comparing every pair of element tuples.
+    universe = [Subset(5, c) for k in range(6) for c in combinations(range(1, 6), k)]
+    for r in range(5):
+        for chosen in combinations(universe, r):
+            elems = [s.elems for s in chosen]
+            maximal = {
+                e for e in elems
+                if not any(e != t and len(e) == len(t) and all(a <= b for a, b in zip(e, t))
+                           for t in elems)
+            }
+            v = ModuleVector(5, dict.fromkeys(chosen, 1))
+            assert {s.elems for s in reduced_support(v)} == maximal, elems
 
 
 def test_submodule_equal():

@@ -7,6 +7,7 @@ in conftest.py), so every run checks the same inputs.
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -39,6 +40,8 @@ from rookpaths import (
     dim_submodule_oracle,
     downset,
     iter_below,
+    parse_module_vector,
+    reduced_form,
     reduced_support,
 )
 from rookpaths import lattice_paths
@@ -127,6 +130,25 @@ def module_vectors(draw):
     n = draw(st.integers(1, 8))
     subsets = st.sets(st.integers(1, n)).map(lambda elems: Subset(n, tuple(sorted(elems))))
     return ModuleVector(n, draw(st.dictionaries(subsets, coefficients, max_size=12)))
+
+
+@st.composite
+def vector_texts(draw):
+    """(n, text, vector): the text of up to 8 terms over {1..n}, n <= 6,
+    whose subsets may repeat, with int or fraction coefficients, some of
+    them padded, and the vector of their sums built by the checked
+    constructor."""
+    n = draw(st.integers(1, 6))
+    subsets = st.sets(st.integers(1, n)).map(lambda elems: tuple(sorted(elems)))
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    terms = draw(st.lists(
+        st.tuples(coeffs, subsets, st.sampled_from(["", " ", "\t"])), min_size=1, max_size=8
+    ))
+    text = ";".join(f"{pad}{c}{pad}:{{{','.join(map(str, s))}}}" for c, s, pad in terms)
+    sums: dict[tuple[int, ...], Fraction] = {}
+    for c, s, _ in terms:
+        sums[s] = sums.get(s, 0) + c
+    return n, text, ModuleVector(n, {Subset(n, s): Fraction(c) for s, c in sums.items()})
 
 
 @st.composite
@@ -257,3 +279,19 @@ def test_dim_submodule_matches_the_literal_sum_and_the_oracle(v):
 @given(module_vectors())
 def test_reduced_support_matches_the_all_pairs_rule(v):
     assert reduced_support(v) == reduced_support_literal(v)
+
+
+@given(module_vectors())
+def test_reduced_form_is_the_checked_sum_over_the_reduced_support(v):
+    formed = reduced_form(v)
+    assert formed == ModuleVector(v.n, {s: 1 for s in reduced_support(v)})
+    assert list(formed.terms) == sorted(formed.terms, key=lambda s: (len(s.elems), s.elems))
+
+
+@given(vector_texts())
+def test_a_parsed_vector_equals_the_checked_one(case):
+    n, text, expected = case
+    v = parse_module_vector(text, n)
+    assert v == expected
+    assert type(v.terms) is MappingProxyType
+    assert all(type(c) is Fraction and c for c in v.terms.values())
