@@ -417,9 +417,17 @@ def _oracle_plan(tops: Sequence[int]) -> tuple[int, Iterable[tuple[int, int]], i
     run of L equal tops becomes a gap of L, and a gap of g between distinct
     tops (t_0 = 0) a run of g.
     """
+    k = len(tops)
+    # Distinct tops t_1 < ... < t_k are runs of 1, none longer than its row.
+    # The conjugate's run i is the gap t_i - t_(i-1) on a row of k - i + 2:
+    # t_1 <= k + 1 for i = 1, and for i >= 2 at most t_k - t_1 - (i - 2),
+    # so none is longer if t_k - t_1 <= k.  With no long run, the tops take
+    # S + k cells and the conjugate S + t_k, so the tops for k <= t_k.
+    if k and tops[0] <= k + 1 and k <= tops[-1] <= tops[0] + k and len(set(tops)) == k:
+        return sum(tops) + k, zip([t + 1 for t in tops], [1] * k), 1
     runs = Counter(tops)
     heights, lengths = list(runs), list(runs.values())
-    k, top = len(tops), heights[-1] if heights else 0
+    top = heights[-1] if heights else 0
 
     def conjugate():
         # The conjugate's runs, lowest first: the tops above each gap, as

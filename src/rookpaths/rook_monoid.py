@@ -168,8 +168,16 @@ def enumerate_icn(n: int, cap: int | None = None) -> list[PartialInjection]:
     with R dominated by D componentwise; the sorted bijection between them is
     the map.  Output is ordered by (sources, images) lexicographically, and
     no map past the cap is built.  A domain's ranges are a few items (c_11
-    maps over 2^10 domains at n = 10), too few to pay for a table of tails,
-    so they are walked without one, and the maps are built in one call.
+    maps over 2^10 domains at n = 10), too few to pay for a table of tails
+    of their own, so one table of the last two pairs serves all the
+    listing's domains (see _tail_row).  A domain of k >= 3 sources walks the
+    ranges of its first k - 2, its head, and adds each tail of the row that
+    follows a prefix to the prefix's pairs.  Each head's prefixes are zipped
+    once, by the first domain that walks them, and reused by every later
+    domain with that head, so the maps of a listing share their pair tuples.
+    Smaller domains are walked whole.  probes/monoid_tails.py times the
+    tail lengths 1 to 3, with and without the reuse.  The maps are built in
+    one call.
     """
     n = _icn_size(n)
     if cap is not None:
@@ -177,6 +185,35 @@ def enumerate_icn(n: int, cap: int | None = None) -> list[PartialInjection]:
     domains = sorted(
         chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1))
     )
-    pairs = chain.from_iterable(map(tuple, map(zip, repeat(dom), iter_subsets_below(dom, False)))
-                                for dom in domains)
-    return trusted_all(PartialInjection, n, islice(pairs, cap))
+    tails: dict[tuple[int, int, int], list] = {}
+    heads: dict[tuple[int, ...], list] = {}
+
+    def walk_head(head):
+        # Lazy, so the cap stops it; a later domain reads the list once whole.
+        walk = heads[head] = []
+        for p in iter_subsets_below(head, False):
+            walk.append(prefix := (tuple(zip(head, p)), p[-1]))
+            yield prefix
+
+    def domain_runs(dom):
+        if len(dom) < 3:
+            yield map(tuple, map(zip, repeat(dom), iter_subsets_below(dom, False)))
+            return
+        head, last = dom[:-2], dom[-2:]
+        for pairs, x in heads.get(head) or walk_head(head):
+            key = (*last, x)
+            row = tails.get(key)
+            if row is None:
+                row = tails[key] = _tail_row(last, x)
+            yield map(pairs.__add__, row)
+
+    runs = chain.from_iterable(map(domain_runs, domains))
+    return trusted_all(PartialInjection, n, islice(chain.from_iterable(runs), cap))
+
+
+def _tail_row(last: tuple[int, int], x: int) -> list[tuple[tuple[int, int], ...]]:
+    """The last two pairs ((s, t_1), (s', t_2)) of the maps on sources
+    last = (s, s') after a prefix of images ending in x: x < t_1 < t_2,
+    t_1 <= s and t_2 <= s', in order.  enumerate_icn keeps one per (s, s', x),
+    at most C(n, 2) n of them."""
+    return [tuple(zip(last, t)) for t in iter_subsets_below(last, False) if t[0] > x]

@@ -1,8 +1,10 @@
 """Shared brute-force helpers used as independent oracles across test modules."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations, repeat
+from operator import add, gt, itemgetter, mul, sub
 
 import pytest
 from hypothesis import settings
@@ -39,6 +41,18 @@ def all_partial_injections(n):
     return out
 
 
+def icn_pairs_literal(n):
+    """The pairs of every order preserving, order decreasing map of {1..n}
+    in the order enumerate_icn lists them: domains D and ranges R by
+    combinations, kept when R is dominated by D (r_i <= s_i), sorted by
+    (sources, images)."""
+    universe = range(1, n + 1)
+    maps = [(dom, rng) for k in range(n + 1)
+            for dom in combinations(universe, k) for rng in combinations(universe, k)
+            if all(r <= s for r, s in zip(rng, dom))]
+    return [tuple(zip(dom, rng)) for dom, rng in sorted(maps)]
+
+
 def monotone_below_odometer(bounds, direction):
     """Every weakly monotone tuple below bounds in ascending lexicographic
     order, one item per step of an odometer: after each tuple the rightmost
@@ -67,6 +81,54 @@ def count_below_dp_literal(bounds, step):
         row = list(accumulate(row))
         row += [row[-1]] * (top + 1 - len(row))
     return sum(row)
+
+
+def oracle_plan_reference(tops):
+    """lattice_paths._oracle_plan as it planned every boundary before its
+    shortcut for distinct tops: (cells, runs, weight) of the cheaper way to
+    count below the weakly increasing tops: a run (n, L) pads the row to n entries and takes L
+    prefix sums, one at a time for L n cells or as one product for
+    n^2 weight cells, whichever is fewer.  The weight scales a product to
+    the size of the numbers (see lattice_paths.MAX_ORACLE_CELLS).
+
+    The conjugate of tops t_1 <= ... <= t_k, the number of tops >= v for
+    v = t_k, ..., 1, has the same count (transpose the Ferrers diagram): a
+    run of L equal tops becomes a gap of L, and a gap of g between distinct
+    tops (t_0 = 0) a run of g.
+    """
+    runs = Counter(tops)
+    heights, lengths = list(runs), list(runs.values())
+    k, top = len(tops), heights[-1] if heights else 0
+
+    def conjugate():
+        # The conjugate's runs, lowest first: the tops above each gap, as
+        # many of them as the gap is wide.
+        gaps = list(map(sub, reversed(heights), chain(reversed(heights[:-1]), (0,))))
+        return [c + 1 for c in accumulate(reversed(lengths))], gaps
+
+    # A product pays only for L > n weight >= n, so for a run longer than
+    # its row: L > t + 1 in the tops, and in the conjugate a gap
+    # t_i - t_(i-1) (t_0 = 0) wider than its row, one more than the
+    # k - i + 1 tops from t_i on.
+    long = (any(map(gt, lengths, map(add, heights, repeat(1))))
+            or any(map(gt, map(sub, tops, chain((0,), tops)), range(k + 1, 1, -1))))
+    if not long:
+        # Every run takes its L prefix sums, sum (t + 1) L = S + k cells on
+        # the tops and S + t_k on the conjugate, S the sum of the tops.
+        ns, ls = ([t + 1 for t in heights], lengths) if k <= top else conjugate()
+        return sum(tops) + min(k, top), zip(ns, ls), 1
+    # Every number the DP holds is at most the count, so at most the
+    # product of C(t + L, L) <= (t + L)^min(t, L) over the runs: of at most
+    # B bits.
+    bits = sum(map(mul, map(min, heights, lengths),
+                   map(int.bit_length, map(add, heights, lengths))))
+    weight = ((bits >> 10) + 1) ** 2  # w^2, w = B // 1024 + 1
+    plans = []
+    for ns, ls in ([t + 1 for t in heights], lengths), conjugate():
+        # A run costs n min(L, n weight) cells.
+        cells = sum(map(mul, ns, map(min, ls, map(mul, ns, repeat(weight)))))
+        plans.append((cells, zip(ns, ls)))
+    return (*min(plans, key=itemgetter(0)), weight)
 
 
 def random_subset(rng, n, max_size=None):

@@ -18,6 +18,7 @@ from conftest import (
     gammas_literal,
     hessenberg_det_literal,
     monotone_below_odometer,
+    oracle_plan_reference,
 )
 from rookpaths import (
     Direction,
@@ -504,6 +505,42 @@ def test_oracle_plan_takes_the_cheaper_orientation(heights):
     assert _oracle_plan(tops)[0] == plan_cells_literal(tops)
 
 
+def planned(plan):
+    cells, runs, weight = plan
+    return cells, list(runs), weight
+
+
+def test_oracle_plan_matches_the_reference_planner_exhaustive(monkeypatch):
+    # Every weakly increasing tops of k <= 7 entries of 0..7, as _count_below
+    # plans them for bounds of either step: the tops themselves for step 0,
+    # the subset t_i + i for step 1.
+    seen, plan = [], lattice_paths._oracle_plan
+    monkeypatch.setattr(lattice_paths, "_oracle_plan",
+                        lambda tops: seen.append(tuple(tops)) or plan(tops))
+    tops_list = [t for k in range(8) for t in combinations_with_replacement(range(8), k)]
+    for tops in tops_list:
+        assert planned(plan(tops)) == planned(oracle_plan_reference(tops)), tops
+        for step, bounds in ((0, tops), (1, tuple(t + i for i, t in enumerate(tops, 1)))):
+            assert _count_below(bounds, step) == count_below_dp_literal(bounds, step)
+            assert seen.pop() == tops
+    # The staircase 1..10 is planned without counting its runs.
+    monkeypatch.setattr(lattice_paths, "Counter", None)
+    assert planned(plan(tuple(range(1, 11)))) == (65, [(t + 1, 1) for t in range(1, 11)], 1)
+
+
+@given(st.one_of(
+    st.lists(st.integers(0, 60), max_size=40),
+    # Distinct tops, on both sides of the shortcut's bounds t_1 <= k + 1
+    # and k <= t_k <= t_1 + k.
+    st.sets(st.integers(0, 80), max_size=40),
+    st.lists(st.tuples(st.integers(0, 400), st.integers(1, 400)), max_size=3).map(
+        lambda runs: [t for t, length in runs for _ in range(length)]),
+))
+def test_oracle_plan_matches_the_reference_planner(heights):
+    tops = tuple(sorted(heights))
+    assert planned(_oracle_plan(tops)) == planned(oracle_plan_reference(tops))
+
+
 def test_stepped_dp_cells_skip_what_a_strict_prefix_cannot_reach(monkeypatch):
     # Step 1 counts its cells on the shifted tops b_i - i: 1, 2, 3 here, so 9
     # cells and not sum(b_i + 1) = 15.
@@ -748,7 +785,9 @@ def test_tail_table_takes_long_runs(monkeypatch):
     list(iter_monotone_below((1, 2, 3, 4, 5, 7, 8), INC))
     list(iter_monotone_below((8, 7, 5, 4, 3, 3, 1), DEC))
     assert tails == [(12, 14, 16), (4, 5, 7, 8), (5, 4, 3, 3, 1)]
-    # The monoid's domains have a few ranges each, walked without a table.
+    # The monoid's domains have a few ranges each, too few for a table of
+    # their own: enumerate_icn keeps one table of the last two pairs for all
+    # of a listing's domains (rook_monoid._tail_row), not this one.
     list(iter_subsets_below(tuple(range(2, 17, 2)), False))
     enumerate_icn(8)
     assert len(tails) == 3

@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import pytest
 
-from conftest import all_partial_injections
+from conftest import all_partial_injections, icn_pairs_literal
 from rookpaths import (
     PartialInjection,
     catalan,
@@ -15,6 +17,7 @@ from rookpaths import (
     to_rook_matrix,
     zero_map,
 )
+from rookpaths import rook_monoid
 
 SIGMA = PartialInjection(4, ((1, 1), (3, 2), (4, 3)))
 
@@ -162,6 +165,45 @@ def test_enumerate_icn_cap_is_a_prefix_of_the_listing():
         elements = enumerate_icn(n)
         for cap in range(1, len(elements) + 2):
             assert enumerate_icn(n, cap) == elements[:cap]
+
+
+def test_enumerate_icn_cap_cuts_the_shared_tail_table_where_it_changes():
+    # Caps at the first map of each domain size (where the walk moves from
+    # whole domains to heads and tails), inside the long rows of the last
+    # 3-source domain, at c_(n+1) and one past it.
+    for n in (8, 9, 10):
+        expected = icn_pairs_literal(n)
+        firsts = [next(i for i, p in enumerate(expected) if len(p) == k) for k in range(n + 1)]
+        last3 = expected.index(((n - 2, 1), (n - 1, 2), (n, 3)))
+        caps = {i + 1 for i in firsts} | {last3 + 2, last3 + n - 3,
+                                          len(expected), len(expected) + 1}
+        for cap in sorted(caps):
+            maps = enumerate_icn(n, cap)
+            assert [f.pairs for f in maps] == expected[:cap], (n, cap)
+            assert all(f.n == n and list(vars(f)) == ["n", "pairs"] for f in maps)
+    assert len(expected) == catalan(11)
+
+
+def test_enumerate_icn_builds_each_tail_row_and_head_walk_once(monkeypatch):
+    rows, walks = [], []
+    tail_row, walk = rook_monoid._tail_row, rook_monoid.iter_subsets_below
+    monkeypatch.setattr(rook_monoid, "_tail_row",
+                        lambda last, x: rows.append((*last, x)) or tail_row(last, x))
+    monkeypatch.setattr(rook_monoid, "iter_subsets_below",
+                        lambda elems, table=True: walks.append(elems) or walk(elems, table))
+    n = 8
+    maps = enumerate_icn(n)
+    assert [f.pairs for f in maps] == icn_pairs_literal(n)
+    # One row per key: the last two sources and the image before them.
+    keys = {(p[-2][0], p[-1][0], p[-3][1]) for p in icn_pairs_literal(n) if len(p) >= 3}
+    assert sorted(rows) == sorted(keys) and len(rows) <= n * (n - 1) // 2 * n
+    # No domain of 3 or more sources is walked whole, and each head of 3 or
+    # more is walked once: the subsets of {1..n - 2}.
+    long_walks = [w for w in walks if len(w) >= 3]
+    assert sorted(long_walks) == sorted(
+        h for k in range(3, n - 1) for h in combinations(range(1, n - 1), k))
+    # The maps share their pairs: each distinct pair is one object.
+    assert len({id(pair) for f in maps for pair in f.pairs}) < sum(len(f.pairs) for f in maps) // 4
 
 
 def test_enumerate_icn_refuses_a_bad_cap():
