@@ -163,9 +163,8 @@ def _cmd_paths_list(args):
     h = _parse_heights(args.dir, args.heights)
     items, truncated = enumerate_below(h, args.cap)
     given = {"dir": args.dir, "heights": list(h.heights), "cap": args.cap}
-    fields = {"items": [x.heights for x in items], "truncated": truncated}
     line = ",".join(["%d"] * len(h))
-    return given, fields, map(line.__mod__, fields["items"])
+    return given, {"items": items, "truncated": truncated}, map(line.__mod__, items)
 
 
 def _cmd_dim_subset(args):

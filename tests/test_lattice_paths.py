@@ -21,10 +21,12 @@ from conftest import (
     oracle_plan_reference,
 )
 from rookpaths import (
+    BelowEnumeration,
     Direction,
     HeightSequence,
     IntMatrix,
     LatticePath,
+    ListedHeights,
     binomial,
     catalan,
     compute_gammas,
@@ -619,16 +621,16 @@ def test_walked_and_fresh_rows_agree_with_the_oracle_at_length_300():
 
 def test_enumerate_below_listing():
     result = enumerate_below(dec((2, 1)), 10)
-    assert [h.heights for h in result.items] == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert result.items == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
     assert not result.truncated
 
 
 def test_enumerate_below_degenerate_and_truncated():
     result = enumerate_below(dec((0,)), 10)
-    assert [h.heights for h in result.items] == [(0,)]
+    assert result.items == [(0,)]
     assert not result.truncated
     result = enumerate_below(dec((1,)), 1)
-    assert [h.heights for h in result.items] == [(0,)]
+    assert result.items == [(0,)]
     assert result.truncated
 
 
@@ -646,7 +648,7 @@ def test_enumerate_below_listing_bound(monkeypatch):
     monkeypatch.setattr(lattice_paths, "iter_monotone_below",
                         lambda bounds, direction: (listed.append(x) or x
                                                    for x in iter_monotone_below(bounds, direction)))
-    assert enumerate_below(dec((3, 3)), 100) == (list(iter_below(dec((3, 3)))), False)
+    assert enumerate_below(dec((3, 3)), 100) == ([x.heights for x in iter_below(dec((3, 3)))], False)
     result = enumerate_below(dec((4, 4)), 10)
     assert len(result.items) == 10 and result.truncated
     listed.clear()
@@ -655,6 +657,24 @@ def test_enumerate_below_listing_bound(monkeypatch):
             enumerate_below(dec((4, 4)), cap)
     # Refused once the eleventh is listed, not after the whole listing.
     assert len(listed) == 2 * 11
+
+
+def test_enumerate_below_lists_the_heights_of_iter_below():
+    # Every boundary of k <= 4 entries in 0..4, in both directions, at caps
+    # 1, its count and one past it: the items are iter_below's heights as
+    # tuples of plain ints, cut at the cap, each its own .heights, and
+    # truncated says whether any was cut.
+    for k in range(1, 5):
+        for h in [dec(x) for x in all_decreasing(k, 4)] + [inc(x) for x in all_increasing(k, 4)]:
+            every = [x.heights for x in iter_below(h)]
+            for cap in (1, len(every), len(every) + 1):
+                result = enumerate_below(h, cap)
+                assert type(result) is BelowEnumeration
+                assert result.items == every[:cap], (h, cap)
+                for x in result.items:
+                    assert type(x) is ListedHeights and x.heights is x, (h, cap)
+                    assert all(type(e) is int for e in x), (h, cap)
+                assert result.truncated is (cap < len(every)), (h, cap)
 
 
 def test_iter_below_matches_lexicographic_brute_force():
@@ -803,7 +823,7 @@ def test_enumeration_size_matches_count():
             result = enumerate_below(lam, expected + 1)
             assert len(result.items) == expected
             assert not result.truncated
-            assert result.items == sorted(result.items, key=lambda h: h.heights)
+            assert result.items == sorted(result.items)
 
 
 # --------------------------------------------------------------- identities
