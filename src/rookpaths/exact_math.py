@@ -126,10 +126,11 @@ def parse_ints(text: str) -> tuple[int, ...]:
 
 def first_items(cap: int, items) -> tuple[list, bool]:
     """The first cap items of the iterable items() returns, and whether it
-    had more.  The cap is checked before items() is called."""
+    had more.  The cap is checked before items() is called; no listing holds
+    sys.maxsize items, so a larger cap takes them all."""
     int_entries((cap,), "cap must be a positive count", 1)
     it = iter(items())
-    taken = list(islice(it, cap))
+    taken = list(islice(it, min(cap, sys.maxsize)))
     return taken, next(it, None) is not None
 
 

@@ -572,14 +572,12 @@ def iter_monotone_below(
     return chain.from_iterable(_runs(bounds, None if direction is Direction.DECREASING else 0))
 
 
-def iter_subsets_below(elems: tuple[int, ...], table: bool = True) -> Iterator[tuple[int, ...]]:
+def iter_subsets_below(elems: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Yield every strictly increasing positive tuple t dominated by the
     strictly increasing positive tuple s = elems (t_i <= s_i), in ascending
-    lexicographic order: the runs of _runs with step 1.  table=False walks
-    without a table of tails, so that t_k runs over t_(k-1) + 1..s_k, which
-    is cheaper for a walk of a few items.
+    lexicographic order: the runs of _runs with step 1.
     """
-    return chain.from_iterable(_runs(elems, 1, table))
+    return chain.from_iterable(_runs(elems, 1))
 
 
 def iter_below(h: HeightSequence) -> Iterator[HeightSequence]:

@@ -8,9 +8,10 @@ exactly the upper triangular rook matrices under the usual matrix encoding.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, islice
 
 from .exact_math import (
     IntMatrix,
@@ -22,7 +23,6 @@ from .exact_math import (
     trusted,
     trusted_all,
 )
-from .lattice_paths import iter_subsets_below
 
 # The stated domain of count_icn and enumerate_icn, and so of monoid-size and
 # monoid-list: {1..n} for n up to 10, where the monoid has c_11 = 58786 maps.
@@ -167,53 +167,37 @@ def enumerate_icn(n: int, cap: int | None = None) -> list[PartialInjection]:
     Such a map is determined by its domain D and range R, equal-size subsets
     with R dominated by D componentwise; the sorted bijection between them is
     the map.  Output is ordered by (sources, images) lexicographically, and
-    no map past the cap is built.  A domain's ranges are a few items (c_11
-    maps over 2^10 domains at n = 10), too few to pay for a table of tails
-    of their own, so one table of the last two pairs serves all the
-    listing's domains (see _tail_row).  A domain of k >= 3 sources walks the
-    ranges of its first k - 2, its head, and adds each tail of the row that
-    follows a prefix to the prefix's pairs.  Each head's prefixes are zipped
-    once, by the first domain that walks them, and reused by every later
-    domain with that head, so the maps of a listing share their pair tuples.
-    Smaller domains are walked whole.  probes/monoid_tails.py times the
-    tail lengths 1 to 3, with and without the reuse.  The maps are built in
-    one call.
+    no map past the cap is built.  One depth-first walk lists the domains in
+    that order, each domain before the domains that extend it: the maps of a
+    domain ending in s are those of its parent, the domain without s, each
+    followed by one pair (s, t) with x < t <= s, where x is the parent map's
+    last image (0 for the empty map).  The rows of those last pairs are kept
+    per (s, x), at most n^2 of them (see _last_pairs), so the maps of a
+    listing share their pair objects.  The walk is at most n + 1 deep, a cap
+    past sys.maxsize lists everything, and the maps are built in one call.
     """
     n = _icn_size(n)
     if cap is not None:
-        int_entries((cap,), "cap must be a positive count", 1)
-    domains = sorted(
-        chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1))
-    )
-    tails: dict[tuple[int, int, int], list] = {}
-    heads: dict[tuple[int, ...], list] = {}
+        cap = min(int_entries((cap,), "cap must be a positive count", 1)[0], sys.maxsize)
+    rows: dict[tuple[int, int], list] = {}
 
-    def walk_head(head):
-        # Lazy, so the cap stops it; a later domain reads the list once whole.
-        walk = heads[head] = []
-        for p in iter_subsets_below(head, False):
-            walk.append(prefix := (tuple(zip(head, p)), p[-1]))
-            yield prefix
+    def row(s, x):
+        found = rows.get((s, x))
+        if found is None:
+            found = rows[s, x] = _last_pairs(s, x)
+        return found
 
-    def domain_runs(dom):
-        if len(dom) < 3:
-            yield map(tuple, map(zip, repeat(dom), iter_subsets_below(dom, False)))
-            return
-        head, last = dom[:-2], dom[-2:]
-        for pairs, x in heads.get(head) or walk_head(head):
-            key = (*last, x)
-            row = tails.get(key)
-            if row is None:
-                row = tails[key] = _tail_row(last, x)
-            yield map(pairs.__add__, row)
+    def walk(maps, last):
+        yield maps
+        for s in range(last + 1, n + 1):
+            yield from walk(list(chain.from_iterable(
+                [map(p.__add__, row(s, p[-1][1] if p else 0)) for p in maps])), s)
 
-    runs = chain.from_iterable(map(domain_runs, domains))
-    return trusted_all(PartialInjection, n, islice(chain.from_iterable(runs), cap))
+    return trusted_all(PartialInjection, n, islice(chain.from_iterable(walk([()], 0)), cap))
 
 
-def _tail_row(last: tuple[int, int], x: int) -> list[tuple[tuple[int, int], ...]]:
-    """The last two pairs ((s, t_1), (s', t_2)) of the maps on sources
-    last = (s, s') after a prefix of images ending in x: x < t_1 < t_2,
-    t_1 <= s and t_2 <= s', in order.  enumerate_icn keeps one per (s, s', x),
-    at most C(n, 2) n of them."""
-    return [tuple(zip(last, t)) for t in iter_subsets_below(last, False) if t[0] > x]
+def _last_pairs(s: int, x: int) -> list[tuple[tuple[int, int]]]:
+    """The last pair (s, t) of the maps on a domain ending in s that follow
+    a parent map whose last image is x: x < t <= s, in order, each as a
+    one-pair tuple to append."""
+    return [((s, t),) for t in range(x + 1, s + 1)]

@@ -208,6 +208,21 @@ def test_the_cap_is_checked_before_anything_is_listed():
         assert invoke(argv) == (2, "", "error: cap must be a positive count, got 0\n"), argv
 
 
+def test_a_cap_past_sys_maxsize_lists_everything():
+    # No listing holds sys.maxsize items, so such a cap cuts nothing, and
+    # monoid-list asking for one map past it needs no room either.
+    for argv, count in ((["monoid-list", "--n", "3"], 14),
+                        (["paths-list", "--dir", "dec", "--heights", "2,1"], 5)):
+        whole, payload = plain_and_json(argv + ["--cap", "1000"])
+        assert len(whole.splitlines()) == len(payload["items"]) == count
+        assert payload["truncated"] is False
+        for cap in (sys.maxsize, sys.maxsize + 1, 10**30):
+            capped = argv + ["--cap", str(cap)]
+            assert invoke(capped) == (0, whole, ""), capped
+            given = {**payload["input"], "cap": cap}
+            assert plain_and_json(capped)[1] == {**payload, "input": given}
+
+
 def test_monoid_compose():
     plain, payload = plain_and_json(
         ["monoid-compose", "--n", "3", "--f", "2 3 / 1 2", "--g", "1 2 / 1 2"]

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from bisect import bisect_left
 from itertools import (
@@ -661,13 +662,14 @@ def test_enumerate_below_listing_bound(monkeypatch):
 
 def test_enumerate_below_lists_the_heights_of_iter_below():
     # Every boundary of k <= 4 entries in 0..4, in both directions, at caps
-    # 1, its count and one past it: the items are iter_below's heights as
-    # tuples of plain ints, cut at the cap, each its own .heights, and
-    # truncated says whether any was cut.
+    # 1, its count, one past it and one past sys.maxsize (which no listing
+    # holds): the items are iter_below's heights as tuples of plain ints,
+    # cut at the cap, each its own .heights, and truncated says whether any
+    # was cut.
     for k in range(1, 5):
         for h in [dec(x) for x in all_decreasing(k, 4)] + [inc(x) for x in all_increasing(k, 4)]:
             every = [x.heights for x in iter_below(h)]
-            for cap in (1, len(every), len(every) + 1):
+            for cap in (1, len(every), len(every) + 1, sys.maxsize + 1):
                 result = enumerate_below(h, cap)
                 assert type(result) is BelowEnumeration
                 assert result.items == every[:cap], (h, cap)
@@ -738,7 +740,8 @@ def walks_below(h, s):
                 == list(monotone_below_odometer(bound, direction))), (bound, direction)
     expected = [t for t in combinations(range(1, max(s, default=0) + 1), len(s))
                 if all(map(le, t, s))]
-    assert list(iter_subsets_below(s)) == expected == list(iter_subsets_below(s, False)), s
+    plain = list(chain.from_iterable(_runs(s, 1, False)))
+    assert list(iter_subsets_below(s)) == expected == plain, s
     return {_tail_length(h), _tail_length(h[::-1]), _tail_length(s)}
 
 
@@ -805,10 +808,9 @@ def test_tail_table_takes_long_runs(monkeypatch):
     list(iter_monotone_below((1, 2, 3, 4, 5, 7, 8), INC))
     list(iter_monotone_below((8, 7, 5, 4, 3, 3, 1), DEC))
     assert tails == [(12, 14, 16), (4, 5, 7, 8), (5, 4, 3, 3, 1)]
-    # The monoid's domains have a few ranges each, too few for a table of
-    # their own: enumerate_icn keeps one table of the last two pairs for all
-    # of a listing's domains (rook_monoid._tail_row), not this one.
-    list(iter_subsets_below(tuple(range(2, 17, 2)), False))
+    # A walk without a table builds none, and enumerate_icn walks no bound:
+    # it builds each domain's maps from its parent domain's.
+    list(chain.from_iterable(_runs(tuple(range(2, 17, 2)), 1, False)))
     enumerate_icn(8)
     assert len(tails) == 3
 

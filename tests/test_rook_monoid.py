@@ -1,4 +1,4 @@
-from itertools import combinations
+import sys
 
 import pytest
 
@@ -163,20 +163,22 @@ def test_enumerate_icn_is_sorted_and_bounded():
 def test_enumerate_icn_cap_is_a_prefix_of_the_listing():
     for n in range(1, 8):
         elements = enumerate_icn(n)
-        for cap in range(1, len(elements) + 2):
+        # No listing holds sys.maxsize maps, so a larger cap cuts nothing.
+        for cap in [*range(1, len(elements) + 2), sys.maxsize, sys.maxsize + 1, 10**30]:
             assert enumerate_icn(n, cap) == elements[:cap]
 
 
-def test_enumerate_icn_cap_cuts_the_shared_tail_table_where_it_changes():
-    # Caps at the first map of each domain size (where the walk moves from
-    # whole domains to heads and tails), inside the long rows of the last
-    # 3-source domain, at c_(n+1) and one past it.
+def test_enumerate_icn_cap_cuts_the_walk_between_and_inside_domains():
+    # Caps at the first map of each domain size, at both ends of the
+    # domain (1, n), after which the walk climbs back to the root, inside
+    # the maps of the last 3-source domain, at c_(n+1) and one past it.
     for n in (8, 9, 10):
         expected = icn_pairs_literal(n)
         firsts = [next(i for i, p in enumerate(expected) if len(p) == k) for k in range(n + 1)]
+        ends = [i for i, p in enumerate(expected) if [s for s, _ in p] == [1, n]]
         last3 = expected.index(((n - 2, 1), (n - 1, 2), (n, 3)))
-        caps = {i + 1 for i in firsts} | {last3 + 2, last3 + n - 3,
-                                          len(expected), len(expected) + 1}
+        caps = {i + 1 for i in firsts} | {ends[0], ends[0] + 1, ends[-1] + 1, ends[-1] + 2}
+        caps |= {last3 + 2, last3 + n - 3, len(expected), len(expected) + 1}
         for cap in sorted(caps):
             maps = enumerate_icn(n, cap)
             assert [f.pairs for f in maps] == expected[:cap], (n, cap)
@@ -184,26 +186,39 @@ def test_enumerate_icn_cap_cuts_the_shared_tail_table_where_it_changes():
     assert len(expected) == catalan(11)
 
 
-def test_enumerate_icn_builds_each_tail_row_and_head_walk_once(monkeypatch):
-    rows, walks = [], []
-    tail_row, walk = rook_monoid._tail_row, rook_monoid.iter_subsets_below
-    monkeypatch.setattr(rook_monoid, "_tail_row",
-                        lambda last, x: rows.append((*last, x)) or tail_row(last, x))
-    monkeypatch.setattr(rook_monoid, "iter_subsets_below",
-                        lambda elems, table=True: walks.append(elems) or walk(elems, table))
-    n = 8
-    maps = enumerate_icn(n)
-    assert [f.pairs for f in maps] == icn_pairs_literal(n)
-    # One row per key: the last two sources and the image before them.
-    keys = {(p[-2][0], p[-1][0], p[-3][1]) for p in icn_pairs_literal(n) if len(p) >= 3}
-    assert sorted(rows) == sorted(keys) and len(rows) <= n * (n - 1) // 2 * n
-    # No domain of 3 or more sources is walked whole, and each head of 3 or
-    # more is walked once: the subsets of {1..n - 2}.
-    long_walks = [w for w in walks if len(w) >= 3]
-    assert sorted(long_walks) == sorted(
-        h for k in range(3, n - 1) for h in combinations(range(1, n - 1), k))
-    # The maps share their pairs: each distinct pair is one object.
-    assert len({id(pair) for f in maps for pair in f.pairs}) < sum(len(f.pairs) for f in maps) // 4
+def last_pair_key(pairs):
+    """The row key of a map's last pair: its source s and the image x
+    before it (0 for a map of one pair)."""
+    return pairs[-1][0], pairs[-2][1] if len(pairs) > 1 else 0
+
+
+def test_enumerate_icn_builds_each_last_pair_row_once(monkeypatch):
+    rows = []
+    last_pairs = rook_monoid._last_pairs
+    monkeypatch.setattr(rook_monoid, "_last_pairs",
+                        lambda s, x: rows.append((s, x)) or last_pairs(s, x))
+    for n in range(1, 11):
+        rows.clear()
+        expected = icn_pairs_literal(n)
+        maps = enumerate_icn(n)
+        assert [f.pairs for f in maps] == expected, n
+        # One row per key (s, x), at most n^2 of them.
+        assert sorted(rows) == sorted({last_pair_key(p) for p in expected if p}), n
+        assert len(rows) <= n * n
+    # The maps share their pairs: each pair is an object of one row, the
+    # s - x pairs (s, t) with x < t <= s.
+    distinct = len({id(pair) for f in maps for pair in f.pairs})
+    assert distinct == sum(s - x for s, x in rows)
+    assert distinct < sum(len(f.pairs) for f in maps) // 4
+    # A capped listing builds rows only for the domains up to the one that
+    # holds its last map (here (1, 2, 3, 4); monoid-list's cap + 1 reaches
+    # the next).
+    rows.clear()
+    expected = icn_pairs_literal(10)
+    assert [f.pairs for f in enumerate_icn(10, 5)] == expected[:5]
+    reached = [s for s, _ in expected[4]]
+    assert rows and set(rows) <= {last_pair_key(p) for p in expected
+                                  if p and [s for s, _ in p] <= reached}
 
 
 def test_enumerate_icn_refuses_a_bad_cap():
