@@ -46,8 +46,8 @@ from .lattice_paths import (
     Direction,
     HeightSequence,
     _count_below,
+    _runs,
     count_below_decreasing_iterative,
-    iter_subsets_below,
 )
 from .rook_monoid import PartialInjection, is_order_decreasing, is_order_preserving
 
@@ -70,7 +70,7 @@ MAX_INCL_EXCL_WORK = 100_000_000
 MAX_SUBMODULE_WORK = 1_000_000
 # A walked k-subset costs k + 1 units.  At 5M the walks through cli.run on
 # CPython 3.11 (2-vCPU VM) took 1.1-1.5 s and 230-270 MB peak RSS for k = 1
-# and 2, which walk without a table of tails, and 0.35-0.65 s and 75-125 MB
+# and 2, too short for a table of tails, and 0.35-0.65 s and 75-125 MB
 # for k = 4 to 16; the union of the walked subsets holds most of the memory.
 MAX_ORACLE_WALK = 5_000_000
 
@@ -116,8 +116,10 @@ def subset_meet(s: Subset, t: Subset) -> Subset:
 
 
 def iter_downset(s: Subset) -> Iterator[tuple[int, ...]]:
-    """Yield the elements of every subset T <= S in ascending lexicographic order."""
-    return iter_subsets_below(s.elems)
+    """Yield the elements of every subset T <= S in ascending lexicographic
+    order: the strictly increasing positive tuples t with t_i <= s_i, the
+    runs of _runs with step 1."""
+    return chain.from_iterable(_runs(s.elems, 1))
 
 
 def downset(s: Subset) -> list[tuple[int, ...]]:

@@ -48,15 +48,20 @@ MAX_ORACLE_CELLS = 10_000_000
 MAX_STAIRCASE_WORK = 12_000_000_000
 # A listed sequence of length k costs k + 1 units, as a walked subset does for
 # the module oracle.  At 5 * 10^5 units the slowest shapes measured through
-# cli.run on CPython 3.11 (2-vCPU VM) are k = 1 and k = 2, which walk without
-# a table of tails: 250,000 and 166,176 lines, listed as ListedHeights, in
+# cli.run on CPython 3.11 (2-vCPU VM) are k = 1 and k = 2, too short for a
+# table of tails: 250,000 and 166,176 lines, listed as ListedHeights, in
 # 0.19-0.27 s and 0.15-0.18 s, and 59 MB and 41 MB peak RSS.  From k = 3 on
 # (flat boundaries at the bound, k <= 12) they took 0.17 s at most.
 MAX_LIST_WORK = 500_000
 # A walk takes its last m entries from a table of tails while the product of
 # (b_i + 1) over their bounds is at most MAX_TAIL_ROWS, for m up to
-# MAX_TAIL_LENGTH: the table holds at most 4096 tuples of at most 16 entries,
-# which tracemalloc put at 0.86 MB (4096 pairs at 0.39 MB).
+# MAX_TAIL_LENGTH: the table holds at most 4096 tuples of at most 16 entries.
+# The walk on the tail that builds it tables a shorter tail in turn: at most
+# 15 tables nest, two alive at a time.  On whole walks on CPython 3.11,
+# tracemalloc put the peak at 0.88 MB for (5000, 4095, 0, ..., 0) decreasing
+# (one table of 4096 16-tuples) and 3.9 MB for (0, ..., 0, 4095) increasing,
+# whose 15 tables hold 4096 tuples each: ~1.5 MB for two of them, the rest
+# freed tuples that CPython keeps on its free lists.
 MAX_TAIL_ROWS = 4096
 MAX_TAIL_LENGTH = 16
 
@@ -460,7 +465,7 @@ def _oracle_plan(tops: Sequence[int]) -> tuple[int, Iterable[tuple[int, int]], i
     return (*min(plans, key=itemgetter(0)), weight)
 
 
-def _runs(bounds: tuple[int, ...], step: int | None, table: bool = True,
+def _runs(bounds: tuple[int, ...], step: int | None, *,
           least: int | None = None) -> Iterator[Iterable[tuple[int, ...]]]:
     """The tuples below bounds in runs that share a prefix: decreasing ones
     for step None, and for step 0 or 1 increasing ones whose entries rise
@@ -473,11 +478,13 @@ def _runs(bounds: tuple[int, ...], step: int | None, table: bool = True,
     its cap goes up by one and every entry after it drops to its least
     value (0, the new entry, or the new entry plus 1, 2, ... when step is
     1).  For each prefix p the run of its tails t is built at C speed as
-    the tuples p + t.  With table (the default) the last m >= 2 entries
-    come from a table of tails (see _tail_length and _tail_rows), built
-    inside the call.  Otherwise, and when no m >= 2 fits, m = 1 and the run
-    is the last entries y, 0..min(h_k, p_(k-1)) when decreasing and
-    p_(k-1) + step..h_k when increasing, which stays lazy however long.
+    the tuples p + t.  The last m >= 2 entries (see _tail_length) come from
+    one table of tails, which _tail_rows builds whole when the walk starts,
+    by this walk on the tail.  Each such walk is at least one entry shorter
+    than the last, so the tables nest at most MAX_TAIL_LENGTH deep.  When
+    no m >= 2 fits, m = 1 and the run is the last entries y,
+    0..min(h_k, p_(k-1)) when decreasing and p_(k-1) + step..h_k when
+    increasing, which stays lazy however long.
     """
     if least is None:
         least = step or 0
@@ -485,11 +492,11 @@ def _runs(bounds: tuple[int, ...], step: int | None, table: bool = True,
         yield zip(range(least, bounds[0] + 1)) if bounds else [()]
         return
     decreasing = step is None
-    m = _tail_length(bounds) if table else 1
+    m = _tail_length(bounds)
     head, top = bounds[:-m], bounds[-1]
-    row = _tail_rows(bounds[-m:], step) if m > 1 else None
     k = len(head)
     x = [least, *[0] * (k - 1)] if decreasing else [least + step * j for j in range(k)]
+    row = _tail_rows(bounds[-m:], step, x[-1]) if m > 1 else None
     while True:
         p = tuple(x)
         if row:
@@ -522,41 +529,19 @@ def _tail_length(bounds: tuple[int, ...]) -> int:
     return m if m >= 2 else 1
 
 
-def _tail_rows(tail: tuple[int, ...], step: int | None):
+def _tail_rows(tail: tuple[int, ...], step: int | None, first: int):
     """row(c): the list of the tails below tail, in _runs' order, that may
-    follow a prefix ending in c.  Every row is a slice of one table, the
-    tails of the rows asked for so far in lexicographic order, so the table
-    holds at most the product of (t_i + 1) tuples.  The table grows only as
-    a row asks, by _runs without a table, so building a row never costs
-    more than the row yields.
-
-    A decreasing row after c is the tails of first entry up to min(c, t_1),
-    keyed so: a prefix of the table, which grows by the tails of the next
-    first entries as c does.  An increasing one is the tails of first entry
-    at least c + step, a suffix of the table, which the first row builds
-    whole: _runs' first prefix ends in the least c of all."""
-    table: list[tuple[int, ...]] = []
-    cuts: dict[int, int] = {}
-    first, rest = tail[0], tail[1:]
+    follow a prefix ending in c, where first is the c of the walk's first
+    prefix.  Every row is a slice of one table, the tails in lexicographic
+    order, built whole by _runs on the tail: a prefix of it, the tails of
+    first entry at most c, when decreasing; a suffix, those of first entry
+    at least c + step, when increasing.  No later prefix ends below first,
+    so an increasing table starts at first + step."""
+    table = list(chain.from_iterable(
+        _runs(tail, step, least=None if step is None else first + step)))
     if step is None:
-        def row(c):
-            c = min(c, first)
-            end = cuts.get(c)
-            if end is None:
-                built = table[-1][0] if table else -1
-                if built < c:
-                    table.extend(chain.from_iterable(_runs((c, *rest), None, False, built + 1)))
-                end = cuts[c] = bisect_left(table, (c + 1,))
-            return table[:end]
-    else:
-        def row(c):
-            start = cuts.get(c)
-            if start is None:
-                if not table:
-                    table.extend(chain.from_iterable(_runs(tail, step, False, c + step)))
-                start = cuts[c] = bisect_left(table, (c + step,))
-            return table[start:]
-    return row
+        return lambda c: table[:bisect_left(table, (c + 1,))]
+    return lambda c: table[bisect_left(table, (c + step,)):]
 
 
 def iter_monotone_below(
@@ -570,14 +555,6 @@ def iter_monotone_below(
     of _runs.
     """
     return chain.from_iterable(_runs(bounds, None if direction is Direction.DECREASING else 0))
-
-
-def iter_subsets_below(elems: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Yield every strictly increasing positive tuple t dominated by the
-    strictly increasing positive tuple s = elems (t_i <= s_i), in ascending
-    lexicographic order: the runs of _runs with step 1.
-    """
-    return chain.from_iterable(_runs(elems, 1))
 
 
 def iter_below(h: HeightSequence) -> Iterator[HeightSequence]:

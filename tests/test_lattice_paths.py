@@ -28,6 +28,7 @@ from rookpaths import (
     IntMatrix,
     LatticePath,
     ListedHeights,
+    Subset,
     binomial,
     catalan,
     compute_gammas,
@@ -40,6 +41,7 @@ from rookpaths import (
     heights_from_path,
     is_below,
     iter_below,
+    iter_downset,
     path_from_heights,
     verify_identity_cor34,
     verify_identity_cor35,
@@ -54,7 +56,6 @@ from rookpaths.lattice_paths import (
     _runs,
     _tail_length,
     iter_monotone_below,
-    iter_subsets_below,
 )
 
 dec = HeightSequence.decreasing
@@ -701,7 +702,7 @@ def test_iter_below_matches_lexicographic_brute_force():
         for s in combinations(range(1, 10), k):
             expected = [t for t in combinations(range(1, 10), k)
                         if all(a <= b for a, b in zip(t, s))]
-            assert list(iter_subsets_below(s)) == expected, s
+            assert list(iter_downset(Subset(9, s))) == expected, s
 
 
 @given(st.sampled_from([DEC, INC]),
@@ -716,10 +717,16 @@ def test_enumerator_edge_cases():
         assert list(iter_monotone_below((), direction)) == [()]
         # An odometer, not a recursion: 20,000 entries list at once.
         assert list(iter_monotone_below((0,) * 20_000, direction)) == [(0,) * 20_000]
-    assert list(iter_subsets_below(())) == [()]
-    assert list(iter_subsets_below((3,))) == [(1,), (2,), (3,)]
+    assert list(iter_downset(Subset(1, ()))) == [()]
+    assert list(iter_downset(Subset(3, (3,)))) == [(1,), (2,), (3,)]
     # A run of last entries is lazy: the first items come from a run of 10^30 + 1.
     assert list(islice(iter_monotone_below((5, 10**30), INC), 3)) == [(0, 0), (0, 1), (0, 2)]
+
+
+def subsets_below(s, least=1):
+    """The strictly increasing tuples t <= s with t_1 >= least, by brute force."""
+    return [t for t in combinations(range(least, max(s, default=0) + 1), len(s))
+            if all(map(le, t, s))]
 
 
 # Row bounds and tail caps for the tail-table sweeps, and the tail lengths
@@ -732,16 +739,13 @@ TABLE_LIMITS = [(0, 16, {1}), (6, 16, {1, 2, 3, 4}), (30, 2, {1, 2}), (30, 3, {1
 
 
 def walks_below(h, s):
-    """The walks below h in both directions and below the subset s, with and
-    without a table, each against its per-item reference.  Returns the
-    tail lengths the walks took."""
+    """The walks below h in both directions and below the subset s, each
+    against its per-item reference.  Returns the tail lengths the walks
+    took."""
     for direction, bound in ((INC, h), (DEC, h[::-1])):
         assert (list(iter_monotone_below(bound, direction))
                 == list(monotone_below_odometer(bound, direction))), (bound, direction)
-    expected = [t for t in combinations(range(1, max(s, default=0) + 1), len(s))
-                if all(map(le, t, s))]
-    plain = list(chain.from_iterable(_runs(s, 1, False)))
-    assert list(iter_subsets_below(s)) == expected == plain, s
+    assert list(iter_downset(Subset(max(s, default=1), s))) == subsets_below(s), s
     return {_tail_length(h), _tail_length(h[::-1]), _tail_length(s)}
 
 
@@ -779,8 +783,8 @@ def test_tail_table_edge_cases():
     assert _tail_length((1, 5, 10**30)) == 1
     assert list(islice(iter_monotone_below((1, 5, 10**30), INC), 3)) == [
         (0, 0, 0), (0, 0, 1), (0, 0, 2)]
-    # A head bound of 10^30 keys its rows by min(x_1, 3): a table of at most
-    # 4 * 3 tuples over 10^5 items.
+    # A head bound of 10^30 takes every row from one table, the 9 tuples
+    # below (3, 2), over 10^5 items.
     bound = (10**30, 3, 2)
     assert _tail_length(bound) == 2
     assert (list(islice(iter_monotone_below(bound, DEC), 10**5))
@@ -794,25 +798,131 @@ def test_tail_table_edge_cases():
     assert peak < 20_000
 
 
-def test_tail_table_takes_long_runs(monkeypatch):
-    # Without a table these take 1544, 561 and 1430 runs of their last entry.
-    for bounds, step in (((8, 7, 5, 4, 3, 3, 1), None), ((1, 2, 3, 4, 5, 7, 8), 0),
-                         (tuple(range(2, 17, 2)), 1)):
-        plain = sum(1 for _ in _runs(bounds, step, False))
-        assert plain in (1544, 561, 1430)
-        assert sum(1 for _ in _runs(bounds, step)) <= plain // 10
+# Three walks whose tables take long runs, each with its reference listing.
+LONG_RUNS = [((8, 7, 5, 4, 3, 3, 1), None,
+              list(monotone_below_odometer((8, 7, 5, 4, 3, 3, 1), DEC))),
+             ((1, 2, 3, 4, 5, 7, 8), 0, list(monotone_below_odometer((1, 2, 3, 4, 5, 7, 8), INC))),
+             (tuple(range(2, 17, 2)), 1, subsets_below(tuple(range(2, 17, 2))))]
+
+
+def spy_tail_rows(monkeypatch):
+    """The tails _tail_rows is asked for, in call order."""
     tails, tail_rows = [], lattice_paths._tail_rows
     monkeypatch.setattr(lattice_paths, "_tail_rows",
-                        lambda tail, step: tails.append(tail) or tail_rows(tail, step))
-    list(iter_subsets_below(tuple(range(2, 17, 2))))
+                        lambda tail, *args: tails.append(tail) or tail_rows(tail, *args))
+    return tails
+
+
+def tail_chain(bounds):
+    """The tails a walk below bounds tables, one a level: each the last
+    _tail_length entries of the one before."""
+    tails = []
+    while (m := _tail_length(bounds)) > 1:
+        bounds = bounds[-m:]
+        tails.append(bounds)
+    return tails
+
+
+def test_tail_table_takes_long_runs(monkeypatch):
+    # The last entry alone would take one run a (k - 1)-prefix: 1544, 561
+    # and 1430 runs.  The tables take a tenth of that at most.
+    for (bounds, step, reference), plain in zip(LONG_RUNS, (1544, 561, 1430)):
+        assert list(chain.from_iterable(_runs(bounds, step))) == reference
+        assert len({x[:-1] for x in reference}) == plain
+        assert sum(1 for _ in _runs(bounds, step)) <= plain // 10
+    tails = spy_tail_rows(monkeypatch)
+    list(iter_downset(Subset(16, tuple(range(2, 17, 2)))))
     list(iter_monotone_below((1, 2, 3, 4, 5, 7, 8), INC))
     list(iter_monotone_below((8, 7, 5, 4, 3, 3, 1), DEC))
-    assert tails == [(12, 14, 16), (4, 5, 7, 8), (5, 4, 3, 3, 1)]
-    # A walk without a table builds none, and enumerate_icn walks no bound:
-    # it builds each domain's maps from its parent domain's.
-    list(chain.from_iterable(_runs(tuple(range(2, 17, 2)), 1, False)))
+    # One table a level, each built by the walk on the tail above it.
+    assert tails == [(12, 14, 16), (14, 16),
+                     (4, 5, 7, 8), (5, 7, 8), (7, 8),
+                     (5, 4, 3, 3, 1), (4, 3, 3, 1), (3, 3, 1), (3, 1)]
+    # enumerate_icn walks no bound: it builds each domain's maps from its
+    # parent domain's.
     enumerate_icn(8)
-    assert len(tails) == 3
+    assert len(tails) == 9
+
+
+def test_tail_tables_nest_on_proper_suffixes_at_most_the_tail_cap_deep(monkeypatch):
+    # A table is built inside the walk one level up, so the depth of the
+    # build is the length of the chain of tails.  20,000 zeros table 15
+    # tails, of 16 entries down to 2; 13 ones table 11, of 12 down to 2,
+    # the first at the row bound (2^12 = MAX_TAIL_ROWS).
+    tails, tail_rows = [], lattice_paths._tail_rows
+    depth = deepest = 0
+
+    def spied(tail, step, first):
+        nonlocal depth, deepest
+        tails.append(tail)
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return tail_rows(tail, step, first)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(lattice_paths, "_tail_rows", spied)
+    ones = [(0,) * (13 - i) + (1,) * i for i in range(14)]
+    for bound, direction, listed, longest in (((0,) * 20_000, DEC, [(0,) * 20_000], 16),
+                                              ((1,) * 13, INC, ones, 12)):
+        tails.clear()
+        deepest = 0
+        assert list(iter_monotone_below(bound, direction)) == listed
+        assert [len(t) for t in tails] == list(range(longest, 1, -1))
+        assert all(t == bound[-len(t):] for t in tails)
+        assert deepest == len(tails) <= MAX_TAIL_LENGTH
+
+
+def test_a_walk_builds_one_table_a_level_not_one_a_row(monkeypatch):
+    # Every walk of the sweep asks _tail_rows once for each tail of its
+    # chain, in order, however many prefixes share a row.
+    tails = spy_tail_rows(monkeypatch)
+    bounds = [b for k in range(9) for b in combinations_with_replacement(range(4), k)]
+    for b in bounds:
+        for walk, bound in ((iter_monotone_below(b, INC), b),
+                            (iter_monotone_below(b[::-1], DEC), b[::-1])):
+            tails.clear()
+            deque(walk, 0)
+            assert tails == tail_chain(bound), bound
+    for k in range(11):
+        for s in combinations(range(1, 11), k):
+            tails.clear()
+            assert list(iter_downset(Subset(10, s))) == subsets_below(s), s
+            assert tails == tail_chain(s), s
+
+
+def test_a_capped_walk_builds_at_most_one_whole_table_a_level(monkeypatch):
+    # The first five items of each walk draw every nested walk once and
+    # whole: every tuple below a decreasing tail, every one below a weakly
+    # increasing tail from 0, and a strict tail's subsets from one past the
+    # last entry of the first prefix above it.  (2, 4, ..., 16) walks the
+    # prefixes (1, ..., 5), ... so its table holds the subsets below
+    # (12, 14, 16) from 6, whose own walk starts at (6,) and tables the
+    # pairs below (14, 16) from 7.
+    walks, runs = [], lattice_paths._runs
+
+    def spied(bounds, step, **kwargs):
+        drawn = [bounds, 0]
+        walks.append(drawn)
+        for run in runs(bounds, step, **kwargs):
+            run = list(run)
+            drawn[1] += len(run)
+            yield run
+
+    def odometer(tail, direction):
+        return sum(1 for _ in monotone_below_odometer(tail, direction))
+
+    monkeypatch.setattr(lattice_paths, "_runs", spied)
+    nested = [[[t, odometer(t, DEC)] for t in ((5, 4, 3, 3, 1), (4, 3, 3, 1), (3, 3, 1), (3, 1))],
+              [[t, odometer(t, INC)] for t in ((4, 5, 7, 8), (5, 7, 8), (7, 8))],
+              [[(12, 14, 16), len(subsets_below((12, 14, 16), 6))],
+               [(14, 16), len(subsets_below((14, 16), 7))]]]
+    for (bounds, step, reference), tables in zip(LONG_RUNS, nested):
+        walks.clear()
+        walk = chain.from_iterable(lattice_paths._runs(bounds, step))
+        assert list(islice(walk, 5)) == reference[:5]
+        assert walks[1:] == tables, bounds
 
 
 def test_enumeration_size_matches_count():
