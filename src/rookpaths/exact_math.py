@@ -206,14 +206,19 @@ def det_exact(m: IntMatrix) -> int:
     (a[i][j] P_k - a[i][k] a[k][j]) / P_(k-1), an exact division, with
     P_(-1) = 1.  Where the pivot row's a[k][j] is 0, that only multiplies
     column j by P_k / P_(k-1), and these factors telescope.  So a column
-    stays stale while its pivot-row entries are 0.  It is brought up to
-    date, times P_(k-1) / P_(s-1) if it was last updated at step s, in one
-    multiply and one exact divide per entry, only when its pivot-row entry
-    is nonzero or it becomes the pivot column.  A row swap keeps this valid,
-    since the rows >= k of a column share one scale.  The last pivot, signed
+    stays stale while its pivot-row entries are 0: if its rows >= k hold
+    their values at step s (s = 0 if it was never updated), they are
+    P_(s-1) / P_(k-1) times their values at step k.  A row swap keeps this
+    valid, since the rows >= k of a column share one scale.  The pivot
+    column is brought up to date first, times P_(k-1) / P_(s-1), since its
+    entries feed every update.  Every other column with a nonzero pivot-row
+    entry is updated from its stale entries in one pass, to
+    (a[i][j] P_k - a[i][k] a[k][j]) / P_(s-1): one exact division per
+    entry, and none where P_(s-1) = 1, as at s = 0.  The last pivot, signed
     by the swaps, is the determinant.  The work is O(n^2) big-int steps when
     the pivot rows are zero past the superdiagonal, as in a lower Hessenberg
-    matrix, and O(n^3) when they are dense.
+    matrix, where every updated column has s = 0 and nothing is divided,
+    and O(n^3) when they are dense.
 
     The 0x0 matrix has determinant 1 (empty product).
     """
@@ -233,23 +238,24 @@ def det_exact(m: IntMatrix) -> int:
                     break
             else:
                 return 0
-        prev = pivots[k]
         rows = a[k:]
         pivot_row, *below = rows
-        for j in range(k, n):
+        if since[k] < k:
+            prev, lag = pivots[k], pivots[since[k]]
+            for row in rows:
+                row[k] = row[k] * prev // lag
+        pivot = pivot_row[k]
+        for j in range(k + 1, n):
             top = pivot_row[j]
             if top == 0:
                 continue  # the update would only scale column j by P_k / P_(k-1)
-            if since[j] < k:
-                lag = pivots[since[j]]
-                for row in rows:
-                    row[j] = row[j] * prev // lag
-                top = pivot_row[j]
-            if j == k:
-                pivot = top
-                continue
-            for row in below:
-                row[j] = (row[j] * pivot - row[k] * top) // prev
+            lag = pivots[since[j]]
+            if lag == 1:
+                for row in below:
+                    row[j] = row[j] * pivot - row[k] * top
+            else:
+                for row in below:
+                    row[j] = (row[j] * pivot - row[k] * top) // lag
             since[j] = k + 1
         pivots.append(pivot)
     return sign * pivots[-1]

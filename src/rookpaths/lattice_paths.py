@@ -44,7 +44,7 @@ from .exact_math import (
 MAX_ORACLE_CELLS = 10_000_000
 # cor35's staircase work counts m^2 b (m + b) at m = k, b the bit length of
 # k: k^2 products of O(k b)-bit integers by O(k)-bit table entries; k = 1025
-# took about 0.35 s on CPython 3.11 (2-vCPU VM).
+# took about 0.3 s on CPython 3.11 (2-vCPU VM).
 MAX_STAIRCASE_WORK = 12_000_000_000
 # A listed sequence of length k costs k + 1 units, as a walked subset does for
 # the module oracle.  At 5 * 10^5 units the slowest shapes measured through
@@ -602,19 +602,27 @@ def verify_identity_cor34(lam: HeightSequence) -> tuple[int, int, bool]:
     The left side is det C(h_i + 1, i - j + 1), taken literally by Bareiss
     elimination so that it shares no code with the determinant route; the
     matrix is lower Hessenberg, so the elimination takes O(k^2) big-int
-    steps.  The right side is the iterative count of paths below lam.
-    Returns (left, right, equal).
+    products and no division.  Row i is walked up its band from
+    C(h_i + 1, 0) = 1, C(h_i + 1, r) = C(h_i + 1, r - 1) (h_i + 2 - r) / r,
+    one product and one exact division by a small r per entry, up to
+    r = min(i, h_i) + 1; its entries with r > h_i + 1 or past the band
+    j <= i + 1 are 0.  The right side is the iterative count of paths below
+    lam.  Returns (left, right, equal).
     """
     _require_direction(lam, Direction.DECREASING, "determinant identity")
     h = lam.heights
     k = len(h)
     if k < 2:
         raise ValueError(f"identity needs length >= 2, got {k}")
-    # Entries with j > i + 1 have a negative bottom: 0, and no binomial call.
-    m = trusted(IntMatrix, tuple(
-        (*(binomial(x + 1, i - j + 1) for j in range(min(i + 2, k))), *[0] * (k - i - 2))
-        for i, x in enumerate(h)
-    ))
+    band = []
+    for i, x in enumerate(h):
+        top = min(i, x) + 1  # C(x + 1, r) = 0 for r > x + 1
+        walked = [1]  # C(x + 1, r) for r = 0, 1, ..., top
+        for r in range(1, top + 1):
+            walked.append(walked[-1] * (x + 2 - r) // r)
+        # Column j holds r = i + 1 - j, for j < k.
+        band.append((*[0] * (i + 1 - top), *walked[::-1], *[0] * (k - i - 2))[:k])
+    m = trusted(IntMatrix, tuple(band))
     det_side = det_exact(m)
     iter_side = count_below_decreasing_iterative(lam)
     return det_side, iter_side, det_side == iter_side
@@ -626,6 +634,7 @@ def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
     The left side is c_{k+1}; the right side is the folded iterative count
     (see count_below_decreasing_iterative) on the staircase (k, k-1, ..., 1),
     by the paper's Corollary 3.5: with gamma_1 = 1 and one table of C(2d, d),
+    walked up from C(0, 0) = 1,
         gamma_i = -sum(C(2(i-j-1), i-j) * gamma_j, j < i),
         count = 2 gamma_k + gamma_{k+1} + sum(C(2(k+1-i), k+1-i) gamma_i, i < k).
     Returns (left, right, equal) for k >= 2 within MAX_STAIRCASE_WORK.
@@ -635,7 +644,9 @@ def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
     if k * k * b * (k + b) > MAX_STAIRCASE_WORK:
         raise ValueError(f"staircase work m^2 b (m + b), b = bit_length(k), exceeds bound "
                          f"{MAX_STAIRCASE_WORK}")
-    central = [binomial(2 * d, d) for d in range(k + 1)]
+    central = [1]  # C(2d, d) = C(2d - 2, d - 1) (4d - 2) / d
+    for d in range(1, k + 1):
+        central.append(central[-1] * (4 * d - 2) // d)
     shifted = [0] + [central[d - 1] * (d - 1) // d for d in range(1, k + 1)]  # C(2d-2, d)
     g = [1, 0]  # g[i - 1] = gamma_i, up to gamma_{k+1}
     for i in range(3, k + 2):

@@ -68,15 +68,31 @@ def test_det_exact_singular_and_pivoting():
 
 
 def random_shaped_rows(rng, n):
-    """An n x n matrix with entries in -4..4, of one shape drawn at random
-    (dense, lower or upper Hessenberg, or banded), and a density, also
-    drawn, for its nonzeros."""
-    shape = rng.choice(["dense", "lower", "upper", "band"])
+    """An n x n matrix with entries in -4..4 or, in one draw of two, up to
+    10^30 in size, of one shape drawn at random (dense, lower or upper
+    Hessenberg, banded, or stale), and a density, also drawn, for its
+    nonzeros.  A stale matrix has rows 0..t-1 zero in columns 0..t but for
+    a zero-free diagonal, row t zero in columns 0..t, and dense rows below
+    it, zero-free in column t.  So a column j > t whose last nonzero entry
+    in rows < t is in row s - 1, s >= 1, stays stale from step s on, and
+    turns nonzero at step t under the row swap that t's zero pivot forces."""
+    size = rng.choice([4, 10**30])
+    shapes = ["dense", "lower", "upper", "band"] + ["stale"] * (n >= 3)
+    shape = rng.choice(shapes)
+    density = rng.random()
+
+    def entry(nonzero=False):
+        value = rng.randint(-size, size) if nonzero or rng.random() < density else 0
+        return value or (rng.choice([-1, 1]) if nonzero else 0)
+
+    if shape == "stale":
+        t = rng.randint(1, n - 2)
+        return [[entry(i == j) if i == j or (i < t and j > t) else 0 for j in range(n)]
+                for i in range(t)] + [[0] * (t + 1) + [entry() for _ in range(n - t - 1)]] + [
+                    [entry(j == t) for j in range(n)] for _ in range(n - t - 1)]
     lo, hi = {"dense": (n, n), "lower": (n, 1), "upper": (1, n)}.get(
         shape, (rng.randint(0, 2), rng.randint(0, 2)))
-    density = rng.random()
-    return [[rng.randint(-4, 4) if -lo <= j - i <= hi and rng.random() < density else 0
-             for j in range(n)] for i in range(n)]
+    return [[entry() if -lo <= j - i <= hi else 0 for j in range(n)] for i in range(n)]
 
 
 def test_det_exact_matches_cofactor_reference():
