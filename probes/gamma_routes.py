@@ -2,12 +2,12 @@
 
     PYTHONPATH=src python probes/gamma_routes.py [--quick]
 
-1. Pushed polynomial against walked rows (lattice_paths.compute_gammas).
-   For tails of n indices past a leading height, and drops of a_i = h_i - i
-   of growing mean, it times both routes (min of several runs) and prints
-   the ratio r = (total drop) / (n + 1) of each boundary with the pushed
-   route's time over the walked one's.  compute_gammas pushes while
-   4 r^2 <= n, the crossover read off this table.
+1. Pushed series against walked rows (lattice_paths.compute_gammas).
+   For tails of n indices past a leading height, and height drops
+   h_i - h_(i+1) of growing mean, it times both routes (min of several
+   runs) and prints the mean e = (total height drop) / n of each boundary
+   with the pushed route's time over the walked one's.  compute_gammas
+   pushes while e is at most the crossover read off this table.
 2. Walked entries against fresh binomials.  For tops n, bottoms r and
    drops d = f r it times one walked step,
    C(n - d, r - 1) perm(n, d) / (r perm(n - r, d - 1)), over one fresh
@@ -37,9 +37,9 @@ def route_ratios(tails, means, seed=7):
     for n in tails:
         cells = []
         for mean in means:
-            # Height drops uniform in 0..2 (mean - 1), so a-drops of the given
-            # mean; a first height of at least 1 keeps the boundary off a run.
-            drops = [rng.randint(0, 2 * (mean - 1)) for _ in range(n)]
+            # Height drops uniform in 0..2 mean; a first drop of at least 1
+            # keeps the boundary off a run.
+            drops = [rng.randint(0, 2 * mean) for _ in range(n)]
             drops[0] = max(drops[0], 1)
             h = list(accumulate(drops, initial=rng.randint(0, 50)))[::-1]
             a = [x - i for i, x in enumerate(h)]
@@ -47,7 +47,7 @@ def route_ratios(tails, means, seed=7):
             number = max(1, int(3000 / n ** 1.5))
             pushed = best(lambda: lattice_paths._pushed_gammas(a, run), number)
             walked = best(lambda: lattice_paths._walked_gammas(a, run), number)
-            ratio = (a[run - 1] - a[-1]) / (len(a) - run + 1)
+            ratio = (h[run - 1] - h[-1]) / (len(h) - run)
             cells.append(f"{ratio:5.2f}:{pushed / walked:5.2f}")
         print(f"n={n:<4}", *cells)
 
@@ -68,9 +68,9 @@ def walk_ratios(bases, bottoms, fractions):
 
 def main(argv):
     quick = "--quick" in argv
-    print("pushed / walked time; columns are (total a-drop) / (tail + 1) : ratio")
-    route_ratios((10, 40, 160) if quick else (10, 20, 40, 80, 160, 320),
-                 (2, 3, 4, 6, 8, 12, 16, 32))
+    print("pushed / walked time; columns are (total height drop) / tail : ratio")
+    route_ratios((10, 40, 160) if quick else (10, 20, 40, 80, 160, 320, 640, 1000),
+                 (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64))
     print("walked step / fresh binomial time")
     walk_ratios((10**2, 10**6) if quick else (10**2, 10**4, 10**6, 10**9),
                 (16, 160) if quick else (16, 40, 160, 400),

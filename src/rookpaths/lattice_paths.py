@@ -64,6 +64,20 @@ MAX_LIST_WORK = 500_000
 # freed tuples that CPython keeps on its free lists.
 MAX_TAIL_ROWS = 4096
 MAX_TAIL_LENGTH = 16
+# cor34 holds its k x k band twice, as the matrix's tuples and as the
+# elimination's lists, 8 bytes a slot, and its N nonzero entries twice, as
+# the band's binomials and as the entries the elimination puts in their
+# place.  A band entry C(h_i + 1, r), r <= i, and every leading minor (the
+# number of paths below a prefix of h) are at most prod(h_i + 1) and below
+# 2^(h_1 + k + 1), so of at most B bits, and an updated entry of at most 2 B.
+# The estimate 16 k^2 + N (56 + 3 B / 8) bytes, 28 bytes an int object, ran
+# 2.3-2.9x over the peak RSS measured on CPython 3.11: the staircase k = 1500
+# (704 MB estimated) peaked at 264 MB in 1.3 s, 300 heights of 10^30 (520 MB)
+# at ~180 MB, 400 of them (1228 MB) at 425 MB in 6.7 s, and the staircase
+# k = 2000 (1626 MB) at 564 MB.  So the bound, in estimated bytes, refuses
+# requests that would need about 300 MB of RSS: every staircase from
+# k = 1568 on.
+MAX_BAND_BYTES = 800_000_000
 
 
 class Direction(Enum):
@@ -215,20 +229,23 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
         gamma_j = -sum(C(h_i - h_{j-1} + j - i - 1, j - i) * gamma_i, i = 1..j-2),
     so gamma_2 = 0 (empty sum) and gamma_j depends on h_1..h_{j-1} only.
 
-    With a_i = h_i - i the terms of gamma_j are C(a_i - a_{j-1}, j - i), and
-    the step to gamma_{j+1} raises every top by the drop d = a_{j-1} - a_j
-    >= 1 and every bottom by 1.  Across a leading flat run h_1 = ... = h_L
-    the tops j - 1 - i of gamma_j, j <= L + 1, are below their bottoms, so
-    gamma_2..gamma_{L+1} are 0 and only the terms i = 1 and i > L + 1 are
-    left.  Two routes take the t = k - L indices past the run, whose drops
-    sum to D = a_L - a_k: the pushed polynomial (_pushed_gammas) costs about
-    t D adds at C speed, the walked rows (_walked_gammas) about t^2 / 2
-    entries of a few big-integer products each.  probes/gamma_routes.py
-    times the two equal where D / (t + 1) is about sqrt(t) / 2 (from 1.6 at
-    t = 10 to 10 at t = 320, and past 20 at t = 640), so the tail is pushed
-    while 4 D^2 <= t (t + 1)^2.
+    Across a leading flat run h_1 = ... = h_L the terms of gamma_j,
+    j <= L + 1, are C(j - i - 1, j - i) = 0, so gamma_2..gamma_{L+1} are 0
+    and only the terms i = 1 and i > L + 1 are left.  Two routes take the
+    t = k - L indices past the run, whose height drops sum to D = h_L - h_k:
+    the pushed series (_pushed_gammas) costs about t D additions at C
+    speed, the walked rows (_walked_gammas) about t^2 / 2 entries of a few
+    big-integer products each.  probes/gamma_routes.py times the two equal
+    where the mean drop D / t is about 4 up to t = 40, about t / 10 past
+    it (8 at t = 80, 13-16 at t = 160, 30 at t = 320), and 40-50 from
+    t = 640 to 1000, so the tail is pushed while
+    10 D <= t min(max(40, t), 400).
 
-    Both routes walk a binomial to the next coefficient's by
+    With a_i = h_i - i the terms of gamma_j are C(a_i - a_{j-1}, j - i),
+    and the step to gamma_{j+1} raises every top by the drop
+    d = a_{j-1} - a_j = h_{j-1} - h_j + 1 and every bottom by 1.  The
+    walked rows, and the push's lead term, walk a binomial to the next
+    coefficient's by
         C(n, r) = C(n - d, r - 1) * perm(n, d) / (r * perm(n - r, d - 1)),
     d small factors up and d down where a fresh binomial takes r of each.
     They walk where the old entry is nonzero and 3 d <= r, past which the
@@ -238,40 +255,37 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
     _require_direction(lam, Direction.DECREASING, "compute_gammas")
     a = [x - i for i, x in enumerate(lam.heights)]
     run = lam.heights.count(lam.heights[0])  # L
-    tail, drop = len(a) - run, a[run - 1] - a[-1]
-    pushed = 4 * drop * drop <= tail * (tail + 1) ** 2
+    tail, drop = len(a) - run, lam.heights[run - 1] - lam.heights[-1]
+    pushed = 10 * drop <= tail * min(max(40, tail), 400)
     rest = (_pushed_gammas if pushed else _walked_gammas)(a, run)
     return (1, *[0] * run, *rest)[: len(a)]  # gamma_1, gamma_2..gamma_{L+1}, the rest
 
 
 def _pushed_gammas(a: list[int], run: int) -> list[int]:
     """gamma_{L+2}..gamma_k of the a_i past a leading run of L, as one
-    polynomial: gamma_j = -C(a_1 - a_{j-1}, j - 1) - [x^j] H_j, where
-        H_j = sum(gamma_i x^i (1 + x)^(a_i - a_{j-1}), i = L+2..j-1),
-        H_{j+1} = (1 + x)^d H_j + gamma_j x^j,  d = a_{j-1} - a_j.
-    H is one dense list over the degrees L+2..k, multiplied by 1 + x in
-    place, one pass at C speed a unit of d, or, for d over half the list,
-    by one product with the walked C(d, t).  A pass skips the zeros above
-    the degrees H can reach and the degrees below k - (a_{j-1} - a_{k-1}),
-    which no later [x^j'] reaches, j' <= k.  The lead term is walked along
-    j."""
+    series: gamma_j = -C(a_1 - a_{j-1}, j - 1) - [x^j] P_j, where
+        P_j = sum(gamma_i x^i (1 - x)^-(h_i - h_{j-1}), i = L+2..j-1),
+        P_{j+1} = (1 - x)^-e P_j + gamma_j x^j,  e = h_{j-1} - h_j,
+    since C(m + r - 1, r) = [x^r] (1 - x)^-m.  P is one list over the
+    degrees L+2..k, and (1 - x)^-1 takes its prefix sums: one pass at C
+    speed a unit of e, none for a flat step, or, for e over the length of
+    the list, one product with the walked C(e - 1 + t, t).  The lead term
+    is walked along j in a_i = h_i - i."""
     n = len(a) - run - 1
     poly, gammas = [0] * n, []
-    live = lead = 0  # poly[live:] is 0
+    lead = 0
     for j in range(run + 2, len(a) + 1):
-        d = a[j - 3] - a[j - 2]
+        d = a[j - 3] - a[j - 2]  # e + 1
         if gammas:
-            if 2 * d <= n:
-                dead = len(a) - (a[j - 3] - a[-2]) - run - 2
-                for lo in map(max, range(dead, dead + d), repeat(0)):
-                    live += live < n
-                    poly[lo + 1:live] = map(add, poly[lo + 1:live], poly[lo:])
+            e = d - 1
+            if e <= n:
+                for _ in range(e):
+                    poly = list(accumulate(poly))
             else:
-                series = list(accumulate(range(1, n), lambda c, t: c * (d + 1 - t) // t,
+                series = list(accumulate(range(1, n), lambda c, t: c * (e - 1 + t) // t,
                                          initial=1))
-                poly, live = [sum(map(mul, series, poly[m::-1])) for m in range(n)], n
+                poly = [sum(map(mul, series, poly[m::-1])) for m in range(n)]
             poly[j - run - 3] += gammas[-1]
-            live = max(live, j - run - 2)
         top, r = a[0] - a[j - 2], j - 1
         lead = (lead * perm(top, d) // (r * perm(top - r, d - 1)) if lead and 3 * d <= r
                 else binomial(top, r) if top >= r else 0)
@@ -607,13 +621,19 @@ def verify_identity_cor34(lam: HeightSequence) -> tuple[int, int, bool]:
     one product and one exact division by a small r per entry, up to
     r = min(i, h_i) + 1; its entries with r > h_i + 1 or past the band
     j <= i + 1 are 0.  The right side is the iterative count of paths below
-    lam.  Returns (left, right, equal).
+    lam.  Returns (left, right, equal).  A boundary whose band is estimated
+    over MAX_BAND_BYTES is refused before the band is built.
     """
     _require_direction(lam, Direction.DECREASING, "determinant identity")
     h = lam.heights
     k = len(h)
     if k < 2:
         raise ValueError(f"identity needs length >= 2, got {k}")
+    entries = sum(map(min, range(k), h)) + 2 * k  # N
+    bits = min(sum(map(int.bit_length, h)) + k, h[0] + k + 1)  # B
+    if 16 * k * k + entries * (56 + 3 * bits // 8) > MAX_BAND_BYTES:
+        raise ValueError(f"band estimate 16 k^2 + N (56 + 3 B / 8) exceeds bound "
+                         f"{MAX_BAND_BYTES} bytes")
     band = []
     for i, x in enumerate(h):
         top = min(i, x) + 1  # C(x + 1, r) = 0 for r > x + 1

@@ -353,6 +353,9 @@ def test_domain_errors_exit_2():
         ["dim-subset", "--n", str(10**100), "--method", "determinant",
          "--set", ",".join(map(str, range(10**100 - 299, 10**100 + 1)))],
         ["verify", "--identity", "cor34", "--heights", "3"],
+        # Over cor34's band bound: the staircase k = 2000, refused before its
+        # band of 564 MB is built.
+        ["verify", "--identity", "cor34", "--heights", ",".join(map(str, range(2000, 0, -1)))],
         # Over the hockey-stick work bound: 10^7 summands, and C(10^6, 5 * 10^5).
         ["verify", "--identity", "hockey", "--a", "0", "--b", "10000000", "--p", "0"],
         ["verify", "--identity", "hockey", "--a", "1000000", "--b", "1", "--p", "500000"],

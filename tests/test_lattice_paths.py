@@ -48,6 +48,7 @@ from rookpaths import (
 )
 from rookpaths import lattice_paths
 from rookpaths.lattice_paths import (
+    MAX_BAND_BYTES,
     MAX_STAIRCASE_WORK,
     MAX_TAIL_LENGTH,
     MAX_TAIL_ROWS,
@@ -315,25 +316,38 @@ def test_gamma_recursion_takes_afresh_only_binomials_within_the_largest_drop(mon
 
 
 def test_gamma_recursion_pushes_small_drops_and_walks_large_ones(monkeypatch):
-    # The staircase k = 160 drops D = 318 in a_i = h_i - i over its t = 159
-    # indices past h_1: 4 D^2 <= t (t + 1)^2, so it is pushed.  Heights
-    # 10^6 (160..1) drop 10^6 + 1 an index, 4 D^2 > t (t + 1)^2: walked.
+    # The staircase k = 160 drops D = 159 over its t = 159 indices past h_1,
+    # a mean of 1, and 12 (160..1) a mean of 12, both within
+    # 10 D <= t min(max(40, t), 400): pushed.  20 (160..1) drops a mean of
+    # 20 and 10^6 (160..1) a mean of 10^6, past it: walked.
     def refused(a, run):
         raise AssertionError("route not expected here")
 
     for heights, other in [(range(160, 0, -1), "_walked_gammas"),
+                           ([12 * i for i in range(160, 0, -1)], "_walked_gammas"),
+                           ([20 * i for i in range(160, 0, -1)], "_pushed_gammas"),
                            ([10**6 * i for i in range(160, 0, -1)], "_pushed_gammas")]:
         h = tuple(heights)
         with monkeypatch.context() as m:
             m.setattr(lattice_paths, other, refused)
             assert compute_gammas(dec(h)) == gammas_literal(h)
+    # Past t = 400 the edge stays at a mean drop of 40: at t = 420, 39 (421..1)
+    # is pushed and 41 (421..1) walked.  Only the route is checked here.
+    for step, route, other in [(39, "_pushed_gammas", "_walked_gammas"),
+                               (41, "_walked_gammas", "_pushed_gammas")]:
+        with monkeypatch.context() as m:
+            m.setattr(lattice_paths, route, lambda a, run: [])
+            m.setattr(lattice_paths, other, refused)
+            compute_gammas(dec(step * i for i in range(421, 0, -1)))
 
 
 def test_gamma_recursion_skips_a_leading_flat_run(monkeypatch):
     # gamma_2..gamma_301 are 0 across the 300 equal heights, so the rows
-    # hold index 1 and the six indices past the run.  Each drop of 1000
-    # exceeds every bottom, so every entry is taken afresh: 27 binomials
-    # with the count's closing sum, where rows over the run take ~1800.
+    # hold index 1 and the six indices past the run, and the pushed series
+    # the degrees past it.  Each drop of 1000 exceeds every bottom, so every
+    # entry is taken afresh: with the count's closing sum, 26 binomials on
+    # the walked rows, which compute_gammas picks, and 11 on the push, whose
+    # lead term is its only binomial; rows over the run take ~1800.
     calls = 0
 
     def counted_binomial(n, r):
@@ -341,10 +355,76 @@ def test_gamma_recursion_skips_a_leading_flat_run(monkeypatch):
         calls += 1
         return binomial(n, r)
 
+    counts = []
+
+    def counted_count(lam):
+        nonlocal calls
+        calls = 0
+        count = count_below_decreasing_iterative(lam)
+        counts.append(calls)
+        return count
+
     monkeypatch.setattr(lattice_paths, "binomial", counted_binomial)
     lam = dec((10**4,) * 300 + tuple(range(9000, 3999, -1000)))
-    assert count_below_decreasing_iterative(lam) == count_below_increasing_determinant(lam.mirror())
-    assert calls < len(lam), calls
+    count = count_below_increasing_determinant(lam.mirror())
+    assert by_each_gamma_route(counted_count, lam) == [count] * 3
+    assert counts == [26, 11, 26], counts
+
+
+def test_gamma_push_takes_at_most_one_prefix_sum_an_entry_a_step(monkeypatch):
+    # The push keeps a list over the degrees L+2..k, n = k - L - 1 entries,
+    # and a height drop e takes e prefix sums of it while e <= n and one
+    # product with the walked C(e - 1 + t, t) past that.  So the passes over
+    # the list are at most the sum of min(e, n) over the pushed drops, and
+    # a drop of 10^30 fails here at once instead of looping 10^30 times.
+    passes = limit = 0
+
+    def counted(iterable, *args, **kwargs):
+        nonlocal passes
+        if isinstance(iterable, list):
+            passes += 1
+            assert passes <= limit, "more prefix sums than the list has entries"
+        return accumulate(iterable, *args, **kwargs)
+
+    monkeypatch.setattr(lattice_paths, "accumulate", counted)
+    rng = random.Random(33)
+    boundaries = []
+    for m in (1, 2, 5, 20):
+        for _ in range(40):
+            drops = [rng.choice([0, 1, m - 1, m, m + 1, 2 * m, 10**30]) for _ in range(m + 2)]
+            h = list(accumulate(drops, initial=rng.randint(0, 3)))[::-1]
+            boundaries.append(tuple(h[:1] * rng.randint(0, 3) + h))
+    pushed = 0
+    for h in boundaries:
+        run = h.count(h[0])
+        n = len(h) - run - 1
+        # Steps j = L+3..k push the drops h_(j-2) - h_(j-1).
+        limit = sum(min(h[i] - h[i + 1], n) for i in range(run, len(h) - 2))
+        passes = 0
+        a = [x - i for i, x in enumerate(h)]
+        gammas = (1, *[0] * run, *lattice_paths._pushed_gammas(a, run))[:len(h)]
+        assert gammas == gammas_literal(h), h
+        pushed += passes
+    assert pushed > 1000, pushed
+
+
+def test_gamma_push_keeps_a_flat_led_list_to_its_tail(monkeypatch):
+    # 2000 heights of 200 before the staircase 160..1: gamma_2..gamma_2001
+    # are 0, so the list holds the 159 degrees past the run, and no pass
+    # runs over the 2160 degrees of the whole boundary (~4.5x the time).  The
+    # walked rows, which skip the run too, check the values.
+    lengths = []
+
+    def measured(iterable, *args, **kwargs):
+        if isinstance(iterable, list):
+            lengths.append(len(iterable))
+        return accumulate(iterable, *args, **kwargs)
+
+    monkeypatch.setattr(lattice_paths, "accumulate", measured)
+    h = (200,) * 2000 + tuple(range(160, 0, -1))
+    walked = lattice_paths._walked_gammas([x - i for i, x in enumerate(h)], 2000)
+    assert compute_gammas(dec(h)) == (1, *[0] * 2000, *walked)
+    assert len(lengths) == 158 and max(lengths) == 159, (len(lengths), max(lengths))
 
 
 def test_iterative_count_skips_a_leading_flat_run_in_its_closing_sum(monkeypatch):
@@ -1015,6 +1095,27 @@ def test_identity_cor35_range():
         assert rhs == cor35_rhs_literal(k), k
     with pytest.raises(ValueError):
         verify_identity_cor35(1)
+
+
+def test_identity_cor34_band_bound(monkeypatch):
+    # The staircase k = 1500 (CI's console check, 704 MB estimated) is within
+    # the bound; k = 1600 (849 MB), 400 heights of 10^30 (1228 MB) and
+    # 20,000 heights of 1 (6853 MB, nearly all of it slots) are refused
+    # before the band is built.
+    def stub(*args):
+        return 0
+
+    built = []
+    monkeypatch.setattr(lattice_paths, "det_exact", lambda m: built.append(m.rows) or 0)
+    monkeypatch.setattr(lattice_paths, "count_below_decreasing_iterative", stub)
+    assert verify_identity_cor34(dec(range(1500, 0, -1))) == (0, 0, True)
+    assert built == [1500]
+    message = f"band estimate 16 k^2 + N (56 + 3 B / 8) exceeds bound {MAX_BAND_BYTES} bytes"
+    monkeypatch.setattr(lattice_paths, "IntMatrix", None)  # no band may be built
+    for h in (range(1600, 0, -1), (10**30,) * 400, (1,) * 20000):
+        with pytest.raises(ValueError) as refused:
+            verify_identity_cor34(dec(h))
+        assert str(refused.value) == message
 
 
 def test_identity_cor35_work_bound():

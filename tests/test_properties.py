@@ -112,12 +112,17 @@ def walked_boundaries(draw):
 def gamma_boundaries(draw):
     """A decreasing boundary of length up to 40, led by a flat run of up to
     50 more, whose drops pick the gamma recursion's route: mostly flat runs
-    and steps of 1-2 (pushed), drops up to 80 and 10^6 (walked), and at
-    most one drop of up to 10^9 anywhere, a single huge drop."""
+    and steps of 1-2 (pushed), drops up to 80 and 10^6 (walked), drops that
+    take the pushed series' every kind of step (none for a flat step, up to
+    as many prefix sums as its list has entries, and one product past
+    that, up to 10^30), and at most one drop of up to 10^9 anywhere, a
+    single huge drop."""
     k = draw(st.integers(1, 40))
     small = st.integers(0, 2)
     drop = draw(st.sampled_from([small, st.one_of(small, st.integers(3, 80)),
-                                 st.one_of(small, st.integers(3, 10**6))]))
+                                 st.one_of(small, st.integers(3, 10**6)),
+                                 st.one_of(small, st.integers(3, 40), st.integers(41, 10**30),
+                                           st.just(10**30))]))
     drops = draw(st.lists(drop, min_size=k - 1, max_size=k - 1))
     if drops and draw(st.booleans()):
         drops[draw(st.integers(0, len(drops) - 1))] = draw(st.integers(0, 10**9))
@@ -214,7 +219,7 @@ def test_walked_routes_match_the_literal_references(lam):
 
 
 def test_both_gamma_routes_match_the_literal_references_exhaustive():
-    # Every decreasing sequence with k <= 6 and heights <= 6, then the same
+    # Every decreasing sequence with k <= 7 and heights <= 7, then the same
     # before a flat tail of 20, after one drop of 10^6, and after a flat run
     # of two at 10^9 above it: each route forced, and the route
     # compute_gammas picks, which is the push on long flat tails and small
@@ -230,8 +235,8 @@ def test_both_gamma_routes_match_the_literal_references_exhaustive():
         return call
 
     total = 0
-    for k in range(1, 7):
-        for base in iter_below(HeightSequence.decreasing((6,) * k)):
+    for k in range(1, 8):
+        for base in iter_below(HeightSequence.decreasing((7,) * k)):
             b, top = base.heights, base.heights[0]
             for h in (b, b + b[-1:] * 20, (top + 10**6, *b), (top + 10**9,) * 2 + b):
                 total += 1
@@ -243,7 +248,7 @@ def test_both_gamma_routes_match_the_literal_references_exhaustive():
                 assert by_each_gamma_route(compute_gammas, lam) == [gammas_literal(h)] * 3
                 count = iterative_literal(h)
                 assert by_each_gamma_route(count_below_decreasing_iterative, lam) == [count] * 3
-    assert total == 4 * 1715
+    assert total == 4 * 6434
     assert min(chosen[name] for name in GAMMA_ROUTES) > 1000, chosen
 
 
