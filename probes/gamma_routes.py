@@ -4,14 +4,19 @@
 
 1. Pushed series against walked rows (lattice_paths.compute_gammas).
    For tails of n indices past a leading height, and height drops
-   h_i - h_(i+1) of growing mean, it times both routes (min of several
-   runs) and prints the mean e = (total height drop) / n of each boundary
-   with the pushed route's time over the walked one's.  compute_gammas
-   pushes while e is at most the crossover read off this table.
+   h_i - h_(i+1) of growing mean, it times both routes as the iterative
+   count calls them, closing coefficient included (min of several runs),
+   and prints the mean e = (total height drop) / n of each boundary with
+   the pushed route's time over the walked one's.  compute_gammas pushes
+   while e is at most the crossover read off this table.
 2. Walked entries against fresh binomials.  For tops n, bottoms r and
    drops d = f r it times one walked step,
    C(n - d, r - 1) perm(n, d) / (r perm(n - r, d - 1)), over one fresh
    math.comb(n, r).  The rows walk an entry while 3 d <= r.
+3. The push's closing coefficient: the top entry of (1 - x)^-E times a
+   list of n entries, by E - 1 prefix sums and a sum over the walked
+   C(E - 1 + t, t) dotted with the reversed list.  The push takes the
+   prefix sums while E <= 5.
 
 Timings are wall-clock on one core and move with the host; read the
 crossovers, not the digits.
@@ -24,6 +29,7 @@ import sys
 import timeit
 from itertools import accumulate
 from math import comb, perm
+from operator import mul
 
 from rookpaths import lattice_paths
 
@@ -45,8 +51,8 @@ def route_ratios(tails, means, seed=7):
             a = [x - i for i, x in enumerate(h)]
             run = h.count(h[0])
             number = max(1, int(3000 / n ** 1.5))
-            pushed = best(lambda: lattice_paths._pushed_gammas(a, run), number)
-            walked = best(lambda: lattice_paths._walked_gammas(a, run), number)
+            pushed = best(lambda: lattice_paths._pushed_gammas(a, run, True), number)
+            walked = best(lambda: lattice_paths._walked_gammas(a, run, True), number)
             ratio = (h[run - 1] - h[-1]) / (len(h) - run)
             cells.append(f"{ratio:5.2f}:{pushed / walked:5.2f}")
         print(f"n={n:<4}", *cells)
@@ -66,6 +72,28 @@ def walk_ratios(bases, bottoms, fractions):
             print(f"n-r-d={base:<10} r={r:<5}", *cells)
 
 
+def closing_ratios(lengths, pushes, seed=7):
+    rng = random.Random(seed)
+    for n in lengths:
+        for bits in (16, 2 * n):
+            poly = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)]
+            cells = []
+            for e in pushes:
+                def summed():
+                    p = poly
+                    for _ in range(e - 1):
+                        p = list(accumulate(p))
+                    return sum(p)
+
+                def dotted():
+                    column = accumulate(range(1, n), lambda c, t: c * (e - 1 + t) // t, initial=1)
+                    return sum(map(mul, column, reversed(poly)))
+
+                number = max(1, 20000 // (n * e))
+                cells.append(f"E={e}:{best(summed, number) / best(dotted, number):5.2f}")
+            print(f"n={n:<5} bits={bits:<5}", *cells)
+
+
 def main(argv):
     quick = "--quick" in argv
     print("pushed / walked time; columns are (total height drop) / tail : ratio")
@@ -75,6 +103,9 @@ def main(argv):
     walk_ratios((10**2, 10**6) if quick else (10**2, 10**4, 10**6, 10**9),
                 (16, 160) if quick else (16, 40, 160, 400),
                 (0.2, 0.33, 0.5, 0.75, 1.0))
+    print("closing push: prefix sums / walked column")
+    closing_ratios((5, 40) if quick else (5, 13, 40, 160, 1000),
+                   (1, 2, 4, 6, 8) if quick else (1, 2, 3, 4, 5, 6, 8, 12, 16, 32))
 
 
 if __name__ == "__main__":

@@ -350,6 +350,7 @@ def dim_submodule(v: ModuleVector) -> int:
     its own.  Many J share a meet, so a size keeps one signed coefficient
     per distinct meet (its Moebius weight) and drops the zeros: taking in a
     generator s adds -c at meet(m, s) for every entry (m, c), then +1 at s.
+    The entries are keyed by the meets' elements, which hash at C speed.
     The work grows with the meets taken and held, not with the 2^r sets J
     of r generators.  It is added to the work of finding the reduced support
     and checked against MAX_SUBMODULE_WORK before each step is taken.  The
@@ -358,17 +359,17 @@ def dim_submodule(v: ModuleVector) -> int:
     red, work = _maximal_terms(v)
     total = 0
     for k, generators in groupby(reversed(red), key=len):
-        signs: dict[Subset, int] = {}
+        signs: dict[tuple[int, ...], tuple[Subset, int]] = {}
         for s in generators:
             work = _within_budget(work + k * len(signs))
-            for m, c in list(signs.items()):
+            for m, c in list(signs.values()):
                 meet = subset_meet(m, s)
-                c = signs.pop(meet, 0) - c
+                c = signs.pop(meet.elems, (None, 0))[1] - c
                 if c:
-                    signs[meet] = c
-            signs[s] = 1
+                    signs[meet.elems] = meet, c
+            signs[s.elems] = s, 1
         work = _within_budget(work + k * k * len(signs))
-        total += sum(c * dim_principal_iterative(m) for m, c in signs.items())
+        total += sum(c * dim_principal_iterative(m) for m, c in signs.values())
     return total
 
 
@@ -418,9 +419,10 @@ def parse_module_vector(text: str, n: int) -> ModuleVector:
     """Parse the text form "coef:{e1,e2,...};..." into a vector over {1..n}.
 
     Coefficients are rationals like "-2" or "3/2"; "{}" denotes the empty
-    subset.  Repeated subsets accumulate.  "0" (or an empty string) is the
-    zero vector.  Each term is checked here, once, and the vector is built
-    from the checked terms.
+    subset.  Repeated subsets accumulate, keyed by their elements, so each
+    distinct subset is built and hashed once.  "0" (or an empty string) is
+    the zero vector.  Each term is checked here, once, and the vector is
+    built from the checked terms.
     """
     stripped = text.strip()
     if stripped in ("", "0"):
@@ -428,7 +430,7 @@ def parse_module_vector(text: str, n: int) -> ModuleVector:
     # Fraction computes 10**e for an exponent e, so e past the int digit
     # limit (4300 where the interpreter sets none) is refused before that.
     limit = int_digit_limit() or 4300
-    terms: dict[Subset, int | Fraction] = {}
+    terms: dict[tuple[int, ...], tuple[Subset, int | Fraction]] = {}
     for part in stripped.split(";"):
         coeff_text, sep, set_text = part.partition(":")
         if not sep:
@@ -437,11 +439,11 @@ def parse_module_vector(text: str, n: int) -> ModuleVector:
         set_text = set_text.strip()
         if not (set_text.startswith("{") and set_text.endswith("}")):
             raise ValueError(f"subset {quoted(set_text)} must be brace-delimited")
-        subset = Subset(n, parse_ints(set_text[1:-1]))
-        total = terms.get(subset)
-        terms[subset] = coeff if total is None else total + coeff
+        elems = parse_ints(set_text[1:-1])
+        held = terms.get(elems)
+        terms[elems] = (Subset(n, elems), coeff) if held is None else (held[0], held[1] + coeff)
     return trusted(
-        ModuleVector, n, MappingProxyType({s: Fraction(c) for s, c in terms.items() if c})
+        ModuleVector, n, MappingProxyType({s: Fraction(c) for s, c in terms.values() if c})
     )
 
 

@@ -57,11 +57,9 @@ MAX_LIST_WORK = 500_000
 # (b_i + 1) over their bounds is at most MAX_TAIL_ROWS, for m up to
 # MAX_TAIL_LENGTH: the table holds at most 4096 tuples of at most 16 entries.
 # The walk on the tail that builds it tables a shorter tail in turn: at most
-# 15 tables nest, two alive at a time.  On whole walks on CPython 3.11,
-# tracemalloc put the peak at 0.88 MB for (5000, 4095, 0, ..., 0) decreasing
-# (one table of 4096 16-tuples) and 3.9 MB for (0, ..., 0, 4095) increasing,
-# whose 15 tables hold 4096 tuples each: ~1.5 MB for two of them, the rest
-# freed tuples that CPython keeps on its free lists.
+# 15 tables nest, two alive at a time, each within half its parent's bound
+# or of one row.  On whole walks on CPython 3.11, tracemalloc put the peak at
+# 0.88 MB for (5000, 4095, 0, ..., 0) decreasing (one table of 4096 16-tuples).
 MAX_TAIL_ROWS = 4096
 MAX_TAIL_LENGTH = 16
 # cor34 holds its k x k band twice, as the matrix's tuples and as the
@@ -236,10 +234,8 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
     the pushed series (_pushed_gammas) costs about t D additions at C
     speed, the walked rows (_walked_gammas) about t^2 / 2 entries of a few
     big-integer products each.  probes/gamma_routes.py times the two equal
-    where the mean drop D / t is about 4 up to t = 40, about t / 10 past
-    it (8 at t = 80, 13-16 at t = 160, 30 at t = 320), and 40-50 from
-    t = 640 to 1000, so the tail is pushed while
-    10 D <= t min(max(40, t), 400).
+    at a mean drop D / t of about 4-5 up to t = 40, about t / 10 past it and
+    45-60 from t = 640 on, so the tail is pushed while 10 D <= t min(max(40, t), 400).
 
     With a_i = h_i - i the terms of gamma_j are C(a_i - a_{j-1}, j - i),
     and the step to gamma_{j+1} raises every top by the drop
@@ -253,30 +249,39 @@ def compute_gammas(lam: HeightSequence) -> tuple[int, ...]:
     otherwise; an entry with n < r is 0 and costs no binomial.
     """
     _require_direction(lam, Direction.DECREASING, "compute_gammas")
-    a = [x - i for i, x in enumerate(lam.heights)]
-    run = lam.heights.count(lam.heights[0])  # L
-    tail, drop = len(a) - run, lam.heights[run - 1] - lam.heights[-1]
+    return _gammas(lam.heights)[0]
+
+
+def _gammas(h: tuple[int, ...], closing: bool = False) -> tuple[tuple[int, ...], int]:
+    """(gamma_1..gamma_k, gamma~_k) of the decreasing h on the route compute_gammas' rule picks:
+    gamma~_k is gamma_k for h_{k-1} = -1 (a_{k-1} = 1 - k), 0 without closing or for k <= 2."""
+    a = [x - i for i, x in enumerate(h)]
+    run = h.count(h[0])  # L
+    tail, drop = len(a) - run, h[run - 1] - h[-1]
     pushed = 10 * drop <= tail * min(max(40, tail), 400)
-    rest = (_pushed_gammas if pushed else _walked_gammas)(a, run)
-    return (1, *[0] * run, *rest)[: len(a)]  # gamma_1, gamma_2..gamma_{L+1}, the rest
+    rest, tilde = (_pushed_gammas if pushed else _walked_gammas)(a, run, closing and len(a) > 2)
+    return (1, *[0] * run, *rest)[: len(a)], tilde  # gamma_1, gamma_2..gamma_{L+1}, the rest
 
 
-def _pushed_gammas(a: list[int], run: int) -> list[int]:
-    """gamma_{L+2}..gamma_k of the a_i past a leading run of L, as one
-    series: gamma_j = -C(a_1 - a_{j-1}, j - 1) - [x^j] P_j, where
+def _pushed_gammas(a: list[int], run: int, closing: bool = False) -> tuple[list[int], int]:
+    """gamma_{L+2}..gamma_k of the a_i past a leading run of L, and gamma~_k
+    with closing, as one series: gamma_j = -C(a_1 - a_{j-1}, j - 1) - [x^j] P_j, where
         P_j = sum(gamma_i x^i (1 - x)^-(h_i - h_{j-1}), i = L+2..j-1),
         P_{j+1} = (1 - x)^-e P_j + gamma_j x^j,  e = h_{j-1} - h_j,
-    since C(m + r - 1, r) = [x^r] (1 - x)^-m.  P is one list over the
-    degrees L+2..k, and (1 - x)^-1 takes its prefix sums: one pass at C
-    speed a unit of e, none for a flat step, or, for e over the length of
-    the list, one product with the walked C(e - 1 + t, t).  The lead term
-    is walked along j in a_i = h_i - i."""
+    since C(m + r - 1, r) = [x^r] (1 - x)^-m.  One list over the degrees
+    L+2..k holds Q_j = P_j - gamma_{j-1} x^{j-1}, whose [x^j] is P_j's,
+    and (1 - x)^-1 takes its prefix sums: one pass at C speed a unit of e,
+    none for a flat step, or, for e over the length of the list, one
+    product with the walked C(e - 1 + t, t).  The lead term is walked along
+    j in a_i = h_i - i.  gamma~_k pushes Q_k by E = h_{k-1} + 1 more and
+    reads [x^k] only: E - 1 passes and a sum for E <= 5, else the walked
+    column dotted with the reversed list."""
     n = len(a) - run - 1
-    poly, gammas = [0] * n, []
-    lead = 0
+    poly, gammas, lead = [0] * n, [], 0
     for j in range(run + 2, len(a) + 1):
         d = a[j - 3] - a[j - 2]  # e + 1
-        if gammas:
+        if len(gammas) > 1:  # Q_j = (1 - x)^-e (Q_{j-1} + gamma_{j-2} x^{j-2})
+            poly[j - run - 4] += gammas[-2]
             e = d - 1
             if e <= n:
                 for _ in range(e):
@@ -285,23 +290,32 @@ def _pushed_gammas(a: list[int], run: int) -> list[int]:
                 series = list(accumulate(range(1, n), lambda c, t: c * (e - 1 + t) // t,
                                          initial=1))
                 poly = [sum(map(mul, series, poly[m::-1])) for m in range(n)]
-            poly[j - run - 3] += gammas[-1]
         top, r = a[0] - a[j - 2], j - 1
         lead = (lead * perm(top, d) // (r * perm(top - r, d - 1)) if lead and 3 * d <= r
                 else binomial(top, r) if top >= r else 0)
         gammas.append(-lead - poly[j - run - 2])
-    return gammas
+    if not closing:
+        return gammas, 0
+    e, r = a[-2] + len(a) - 1, len(a) - 1  # E, and the lead's bottom
+    if e <= 5:  # probes/gamma_routes.py times the two equal at E = 4-8
+        for _ in range(e - 1):
+            poly = list(accumulate(poly))
+        top = sum(poly)
+    else:
+        top = sum(map(mul, accumulate(range(1, n), lambda c, t: c * (e - 1 + t) // t,
+                                      initial=1), reversed(poly)))
+    return gammas, -binomial(a[0] + r, r) - top
 
 
-def _walked_gammas(a: list[int], run: int) -> list[int]:
+def _walked_gammas(a: list[int], run: int, closing: bool = False) -> tuple[list[int], int]:
     """gamma_{L+2}..gamma_k of the a_i past a leading run of L, each from
     one row of its terms over i = 1 and i > L + 1, whose last entry is
-    C(0, 1) = 0.  The row is walked to the next coefficient's entry by
-    entry."""
+    C(0, 1) = 0, walked to the next coefficient's entry by entry; gamma~_k,
+    with closing, from gamma_{k-1}'s row walked to a_{k-1} = 1 - k."""
     kept = a[:1] + a[run:]  # the a_i of the rows' indices i = 1 and i > L
-    gammas, row = [1, 0], [0]  # gamma_1 and gamma_{L+1}, and gamma_{L+1}'s row at i = 1
-    for j in range(run + 2, len(a) + 1):
-        y, d = a[j - 2], a[j - 3] - a[j - 2]
+
+    def step(row, j, y):  # gamma_{j-1}'s row to gamma_j's, for a_{j-1} = y
+        d = a[j - 3] - y
         walk = 3 * d  # the least bottom walked
         # r = j - i over the kept i: one range without a run (a chain costs ~2 % at k = 160).
         bottoms = range(j - 1, 1, -1) if run == 1 else chain((j - 1,), range(j - run - 1, 1, -1))
@@ -309,8 +323,13 @@ def _walked_gammas(a: list[int], run: int) -> list[int]:
                else binomial(x - y, r) if x - y >= r else 0
                for c, x, r in zip(row, kept, bottoms)]
         row.append(0)
+        return row
+
+    gammas, row, last = [1, 0], [0], [0]  # gamma_1 and gamma_{L+1}; gamma_{L+1}'s row at i = 1
+    for j in range(run + 2, len(a) + 1):
+        last, row = row, step(row, j, a[j - 2])
         gammas.append(-sum(map(mul, row, gammas)))
-    return gammas[2:]
+    return gammas[2:], -sum(map(mul, step(last, len(a), 1 - len(a)), gammas)) if closing else 0
 
 
 def count_below_decreasing_iterative(lam: HeightSequence) -> int:
@@ -321,37 +340,17 @@ def count_below_decreasing_iterative(lam: HeightSequence) -> int:
         - sum_{i<k-1} (h_k+1) * C(h_i-h_{k-1}+k-i-1, k-i) * gamma_i,
     folds by the gamma recursion: the last sum is -(h_k+1) gamma_k, and the
     subtracted half of the first is -gamma_{k+1}, which reads h_1..h_k only,
-    so it is the last coefficient of lam with h_k repeated.  Hence
-        count = (h_k+1) gamma_k + gamma_{k+1} + sum_{i<k} C(h_i+k-i+1, k+1-i) gamma_i,
-    which is also the direct count h_1 + 1 at k = 1, where gamma_2 = 0.
-
-    The last sum's terms C(h_i + r, r), r = k + 1 - i, are walked along i as
-    the gamma rows are: the step to i + 1 lowers r by 1 and h_i by the drop
-    d = h_i - h_(i+1), so C(x + r, r) becomes C(x - d + r - 1, r - 1) =
-    C(x + r, r) r perm(x, d) / ((x + r) perm(x + r - 1, d)), 2d small
-    factors where a fresh binomial takes r - 1 up and down.  Across a
-    leading flat run h_1 = ... = h_L the terms' gamma_2..gamma_(L+1) are 0
-    (see compute_gammas), so the sum takes its first term and its term at
-    i = L + 2 afresh, and walks only from there; a term after a drop larger
-    than its bottom is taken afresh too.
+    so it is the last coefficient of lam with h_k repeated.  The other half,
+    S, is -gamma~_{k+1}, gamma_{k+1} for h_k = -1: the recursion reads height
+    differences only, so gamma_1..gamma_k are also those of the heights
+    h_i + 1 (i < k) and 0, whose gamma_{k+1} is -S term by term.  Hence
+        count = (h_k+1) gamma_k + gamma_{k+1} - gamma~_{k+1},
+    also the direct count h_1 + 1 at k = 1, where gamma_2 = gamma~_2 = 0.
     """
     _require_direction(lam, Direction.DECREASING, "iterative count")
     h = lam.heights
-    k = len(h)
-    g = compute_gammas(trusted(HeightSequence, Direction.DECREASING, h + h[-1:]))
-    total = (h[-1] + 1) * g[k - 1] + g[k]
-    if k > 1:
-        total += binomial(h[0] + k, k)  # i = 1, gamma_1 = 1
-    run = h.count(h[0])  # L
-    for i in range(run + 1, k - 1):  # term = C(h[i] + r, r), past gamma_(L+1)
-        r, x = k - i, h[i - 1]
-        d = x - h[i]
-        if i > run + 1 and d <= r:
-            term = term * (r + 1) * perm(x, d) // ((x + r + 1) * perm(x + r, d))
-        else:
-            term = binomial(h[i] + r, r)
-        total += term * g[i]
-    return total
+    g, tilde = _gammas(h + h[-1:], closing=True)  # gamma_1..gamma_{k+1}, gamma~_{k+1}
+    return (h[-1] + 1) * g[-2] + g[-1] - tilde
 
 
 def count_below_increasing_determinant(a: HeightSequence) -> int:
@@ -532,12 +531,13 @@ def _tail_length(bounds: tuple[int, ...]) -> int:
     """m, the number of last entries a walk of k >= 3 entries takes from
     its table of tails: the most, up to MAX_TAIL_LENGTH and k - 1, whose
     bounds' product of (b_i + 1), which bounds the table's size, is at most
-    MAX_TAIL_ROWS.  1, for no table, when k < 3 or no m >= 2 fits."""
+    MAX_TAIL_ROWS, and none past a zero bound after a nonzero one (increasing
+    bounds' forced leading zeros).  1, for no table, when k < 3 or no m >= 2 fits."""
     m, size = 0, 1
     if len(bounds) >= 3:
         for b in islice(reversed(bounds), min(MAX_TAIL_LENGTH, len(bounds) - 1)):
             size *= b + 1
-            if size > MAX_TAIL_ROWS:
+            if size > MAX_TAIL_ROWS or size > 1 > b:
                 break
             m += 1
     return m if m >= 2 else 1

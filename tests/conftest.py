@@ -214,6 +214,12 @@ def gammas_literal(h):
     return tuple(g[1:])
 
 
+def closing_literal(h):
+    """gamma~_k of the decreasing heights h, k >= 2: gamma_k by the paper's
+    recursion with h_(k-1) = -1, one binomial per term."""
+    return gammas_literal((*h[:-2], -1, -1))[-1]
+
+
 GAMMA_ROUTES = ("_pushed_gammas", "_walked_gammas")
 
 

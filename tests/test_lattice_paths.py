@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     by_each_gamma_route,
+    closing_literal,
     cor35_rhs_literal,
     count_below_dp_literal,
     gammas_literal,
@@ -320,7 +321,7 @@ def test_gamma_recursion_pushes_small_drops_and_walks_large_ones(monkeypatch):
     # a mean of 1, and 12 (160..1) a mean of 12, both within
     # 10 D <= t min(max(40, t), 400): pushed.  20 (160..1) drops a mean of
     # 20 and 10^6 (160..1) a mean of 10^6, past it: walked.
-    def refused(a, run):
+    def refused(*args):
         raise AssertionError("route not expected here")
 
     for heights, other in [(range(160, 0, -1), "_walked_gammas"),
@@ -336,7 +337,7 @@ def test_gamma_recursion_pushes_small_drops_and_walks_large_ones(monkeypatch):
     for step, route, other in [(39, "_pushed_gammas", "_walked_gammas"),
                                (41, "_walked_gammas", "_pushed_gammas")]:
         with monkeypatch.context() as m:
-            m.setattr(lattice_paths, route, lambda a, run: [])
+            m.setattr(lattice_paths, route, lambda *args: ([], 0))
             m.setattr(lattice_paths, other, refused)
             compute_gammas(dec(step * i for i in range(421, 0, -1)))
 
@@ -345,9 +346,11 @@ def test_gamma_recursion_skips_a_leading_flat_run(monkeypatch):
     # gamma_2..gamma_301 are 0 across the 300 equal heights, so the rows
     # hold index 1 and the six indices past the run, and the pushed series
     # the degrees past it.  Each drop of 1000 exceeds every bottom, so every
-    # entry is taken afresh: with the count's closing sum, 26 binomials on
-    # the walked rows, which compute_gammas picks, and 11 on the push, whose
-    # lead term is its only binomial; rows over the run take ~1800.
+    # entry is taken afresh: 27 binomials on the walked rows, which
+    # compute_gammas picks (21 for the rows, 6 for the count's closing
+    # coefficient gamma~, whose sibling row holds i = 1, L + 1 and the four
+    # indices past it), and 7 on the push (6 for its lead term, 1 for
+    # gamma~'s); rows over the run take ~1800.
     calls = 0
 
     def counted_binomial(n, r):
@@ -368,7 +371,7 @@ def test_gamma_recursion_skips_a_leading_flat_run(monkeypatch):
     lam = dec((10**4,) * 300 + tuple(range(9000, 3999, -1000)))
     count = count_below_increasing_determinant(lam.mirror())
     assert by_each_gamma_route(counted_count, lam) == [count] * 3
-    assert counts == [26, 11, 26], counts
+    assert counts == [27, 7, 27], counts
 
 
 def test_gamma_push_takes_at_most_one_prefix_sum_an_entry_a_step(monkeypatch):
@@ -398,12 +401,16 @@ def test_gamma_push_takes_at_most_one_prefix_sum_an_entry_a_step(monkeypatch):
     for h in boundaries:
         run = h.count(h[0])
         n = len(h) - run - 1
-        # Steps j = L+3..k push the drops h_(j-2) - h_(j-1).
-        limit = sum(min(h[i] - h[i + 1], n) for i in range(run, len(h) - 2))
+        # Steps j = L+4..k push the drops h_(j-2) - h_(j-1), and the
+        # closing coefficient pushes E = h_(k-1) + 1 more, E - 1 passes for
+        # E <= 5 and none past that.
+        limit = sum(min(h[i] - h[i + 1], n) for i in range(run + 1, len(h) - 2))
+        limit += h[-2] if h[-2] < 5 else 0
         passes = 0
         a = [x - i for i, x in enumerate(h)]
-        gammas = (1, *[0] * run, *lattice_paths._pushed_gammas(a, run))[:len(h)]
-        assert gammas == gammas_literal(h), h
+        rest, closing = lattice_paths._pushed_gammas(a, run, True)
+        assert (1, *[0] * run, *rest)[:len(h)] == gammas_literal(h), h
+        assert closing == closing_literal(h), h
         pushed += passes
     assert pushed > 1000, pushed
 
@@ -422,16 +429,44 @@ def test_gamma_push_keeps_a_flat_led_list_to_its_tail(monkeypatch):
 
     monkeypatch.setattr(lattice_paths, "accumulate", measured)
     h = (200,) * 2000 + tuple(range(160, 0, -1))
-    walked = lattice_paths._walked_gammas([x - i for i, x in enumerate(h)], 2000)
+    walked, _ = lattice_paths._walked_gammas([x - i for i, x in enumerate(h)], 2000)
     assert compute_gammas(dec(h)) == (1, *[0] * 2000, *walked)
-    assert len(lengths) == 158 and max(lengths) == 159, (len(lengths), max(lengths))
+    assert len(lengths) == 157 and max(lengths) == 159, (len(lengths), max(lengths))
+
+
+def test_iterative_count_closing_coefficient_on_each_branch():
+    # The count's closing coefficient gamma~_(k+1) on each route and branch,
+    # against the determinant on the mirror (the DP oracle for the long
+    # flat-led boundary).  The push reads it from its list pushed by
+    # E = h_k + 1 more: E - 1 prefix sums for E <= 5, else the walked
+    # column, within the list's length n or past it; the walked rows from a
+    # sibling row.  k = 1 and flat boundaries have no list, only the lead.
+    stair = tuple(range(40, 0, -1))
+    shapes = {
+        "k = 1": [(0,), (7,), (10**30,)],
+        "flat": [(0,) * 3, (5,) * 10, (10**30,) * 20],
+        "last height 0": [(5, 3, 0), stair + (0,)],
+        "E <= 5": [stair, tuple(x + 3 for x in stair)],
+        "5 < E <= n": [tuple(x + 4 for x in stair), tuple(x + 30 for x in stair)],
+        "E > n": [tuple(x + 10**6 - 1 for x in stair), tuple(x + 10**30 - 1 for x in stair)],
+        "walked": [tuple(10**6 * x for x in stair), tuple(10**6 * x + 7 for x in stair)],
+    }
+    for name, boundaries in shapes.items():
+        for h in boundaries:
+            lam = dec(h)
+            expected = count_below_increasing_determinant(lam.mirror())
+            counts = by_each_gamma_route(count_below_decreasing_iterative, lam)
+            assert counts == [expected] * 3, (name, h)
+    lam = dec((200,) * 2000 + tuple(range(160, 0, -1)))
+    expected = count_below_oracle(lam)
+    assert by_each_gamma_route(count_below_decreasing_iterative, lam) == [expected] * 3
 
 
 def test_iterative_count_skips_a_leading_flat_run_in_its_closing_sum(monkeypatch):
-    # gamma_i is 0 across the 300 equal heights, so the closing sum takes
-    # its first term and its first term past the run afresh and walks the
-    # small drops after it: with the gamma rows, 28 binomials and perm
-    # steps, where walking the closing sum over the run took ~630.
+    # gamma_i is 0 across the 300 equal heights, and the closing sum is the
+    # gamma recursion's closing coefficient gamma~, which skips the run as
+    # the recursion does: 10 binomials and perm steps, where walking the
+    # closing sum over the run took ~630.
     calls = 0
 
     def counted(f):
@@ -952,6 +987,20 @@ def test_tail_tables_nest_on_proper_suffixes_at_most_the_tail_cap_deep(monkeypat
         assert [len(t) for t in tails] == list(range(longest, 1, -1))
         assert all(t == bound[-len(t):] for t in tails)
         assert deepest == len(tails) <= MAX_TAIL_LENGTH
+
+
+def test_tail_tables_take_no_forced_leading_zeros(monkeypatch):
+    # Increasing bounds' leading zeros force their entries to 0, so no table
+    # starts at one: each nested table would hold as many tuples as its
+    # parent.  (0,) * 16 + (4095,) lists its 4096 tuples as one run of the
+    # last entry, where it built 15 tables of 4096 tuples (~6 ms against
+    # ~0.5 ms), and (0,) * 14 + (3, 3, 3) tables (3, 3, 3) and (3, 3) only.
+    tails = spy_tail_rows(monkeypatch)
+    for bound, tabled in (((0,) * 16 + (4095,), []),
+                          ((0,) * 14 + (3, 3, 3), [(3, 3, 3), (3, 3)])):
+        tails.clear()
+        assert list(iter_monotone_below(bound, INC)) == list(monotone_below_odometer(bound, INC))
+        assert tails == tabled, bound
 
 
 def test_a_walk_builds_one_table_a_level_not_one_a_row(monkeypatch):
