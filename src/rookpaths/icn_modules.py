@@ -64,9 +64,9 @@ MAX_INCL_EXCL_WORK = 100_000_000
 # 1000-term antichain {i, 2001 - i} came to 0.999M units and 0.14 s through
 # `reduce`, and 100 equal-sum 6-subsets of {1..30} to up to 0.99M units and
 # 0.64 s through `dim-vector`.
-# The gamma recursion walks its rows across every drop, so a dimension of an
-# even staircase costs 0.3 us a unit at 150 elements and 0.45 us at 500, and
-# one of a random k-subset of {1..3k} 0.3-0.4 us and 0.6-0.7 us.
+# A meet's dimension, by the iterative count, costs less: 0.04 us a unit for
+# an even staircase of 150 or 500 elements, and 0.08-0.1 us for a random
+# k-subset of {1..3k} at those k.
 MAX_SUBMODULE_WORK = 1_000_000
 # A walked k-subset costs k + 1 units.  At 5M the walks through cli.run on
 # CPython 3.11 (2-vCPU VM) took 1.1-1.5 s and 230-270 MB peak RSS for k = 1

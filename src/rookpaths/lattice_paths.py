@@ -42,10 +42,9 @@ from .exact_math import (
 # of prefix sums); the slowest product found, 2^16 tops 400 after the
 # staircase 1..360, about 0.07 s.
 MAX_ORACLE_CELLS = 10_000_000
-# cor35's staircase work counts m^2 b (m + b) at m = k, b the bit length of
-# k: k^2 products of O(k b)-bit integers by O(k)-bit table entries; k = 1025
-# took about 0.3 s on CPython 3.11 (2-vCPU VM).
-MAX_STAIRCASE_WORK = 12_000_000_000
+# cor35 counts the staircase k, k - 1, ..., 1 by the iterative route; k = 1025
+# took 0.05-0.09 s in process (0.22 s as a process) on CPython 3.11 (2-vCPU VM).
+MAX_STAIRCASE_K = 1025
 # A listed sequence of length k costs k + 1 units, as a walked subset does for
 # the module oracle.  At 5 * 10^5 units the slowest shapes measured through
 # cli.run on CPython 3.11 (2-vCPU VM) are k = 1 and k = 2, too short for a
@@ -317,8 +316,7 @@ def _walked_gammas(a: list[int], run: int, closing: bool = False) -> tuple[list[
     def step(row, j, y):  # gamma_{j-1}'s row to gamma_j's, for a_{j-1} = y
         d = a[j - 3] - y
         walk = 3 * d  # the least bottom walked
-        # r = j - i over the kept i: one range without a run (a chain costs ~2 % at k = 160).
-        bottoms = range(j - 1, 1, -1) if run == 1 else chain((j - 1,), range(j - run - 1, 1, -1))
+        bottoms = chain((j - 1,), range(j - run - 1, 1, -1))  # r = j - i over the kept i
         row = [c * perm(x - y, d) // (r * perm(x - y - r, d - 1)) if c and walk <= r
                else binomial(x - y, r) if x - y >= r else 0
                for c, x, r in zip(row, kept, bottoms)]
@@ -651,27 +649,12 @@ def verify_identity_cor34(lam: HeightSequence) -> tuple[int, int, bool]:
 def verify_identity_cor35(k: int) -> tuple[int, int, bool]:
     """Evaluate both sides of the staircase identity for the Catalan number.
 
-    The left side is c_{k+1}; the right side is the folded iterative count
-    (see count_below_decreasing_iterative) on the staircase (k, k-1, ..., 1),
-    by the paper's Corollary 3.5: with gamma_1 = 1 and one table of C(2d, d),
-    walked up from C(0, 0) = 1,
-        gamma_i = -sum(C(2(i-j-1), i-j) * gamma_j, j < i),
-        count = 2 gamma_k + gamma_{k+1} + sum(C(2(k+1-i), k+1-i) gamma_i, i < k).
-    Returns (left, right, equal) for k >= 2 within MAX_STAIRCASE_WORK.
+    The left side is c_{k+1}; the right side is the iterative count of paths
+    below the staircase (k, k-1, ..., 1), as the paper's Corollary 3.5 takes
+    it.  Returns (left, right, equal) for 2 <= k <= MAX_STAIRCASE_K.
     """
-    int_entries((k,), "identity needs k >= 2", 2)
-    b = k.bit_length()
-    if k * k * b * (k + b) > MAX_STAIRCASE_WORK:
-        raise ValueError(f"staircase work m^2 b (m + b), b = bit_length(k), exceeds bound "
-                         f"{MAX_STAIRCASE_WORK}")
-    central = [1]  # C(2d, d) = C(2d - 2, d - 1) (4d - 2) / d
-    for d in range(1, k + 1):
-        central.append(central[-1] * (4 * d - 2) // d)
-    shifted = [0] + [central[d - 1] * (d - 1) // d for d in range(1, k + 1)]  # C(2d-2, d)
-    g = [1, 0]  # g[i - 1] = gamma_i, up to gamma_{k+1}
-    for i in range(3, k + 2):
-        g.append(-sum(map(mul, shifted[i - 1:0:-1], g)))
-    rhs = 2 * g[k - 1] + g[k] + sum(map(mul, central[k:1:-1], g))
+    int_entries((k,), "k must be within {low}..{high}", 2, MAX_STAIRCASE_K)
+    rhs = count_below_decreasing_iterative(
+        trusted(HeightSequence, Direction.DECREASING, tuple(range(k, 0, -1))))
     lhs = catalan(k + 1)
     return lhs, rhs, lhs == rhs
-

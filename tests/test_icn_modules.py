@@ -51,7 +51,7 @@ from rookpaths.icn_modules import (
     MAX_SUBMODULE_WORK,
 )
 from rookpaths import lattice_paths
-from rookpaths.lattice_paths import MAX_ORACLE_CELLS, MAX_STAIRCASE_WORK
+from rookpaths.lattice_paths import MAX_ORACLE_CELLS, MAX_STAIRCASE_K
 
 SIGMA = PartialInjection(4, ((1, 1), (3, 2), (4, 3)))
 
@@ -535,9 +535,8 @@ def test_mixed_family_cost_follows_m():
     assert dim_mixed_family(10**9, 2) == (10**9 + 1) * (10**9 + 2) // 2 - 1
     k = 10**100
     assert dim_mixed_family(k, 400) == (k - 398) * math.comb(k + 401, 400) // (k + 2)
-    # The Catalan staircase just past cor35's work bound answers too.
-    k = next(k for k in count(2) if k * k * k.bit_length() * (k + k.bit_length())
-             > MAX_STAIRCASE_WORK)
+    # The Catalan staircase just past cor35's bound answers too.
+    k = MAX_STAIRCASE_K + 1
     assert dim_mixed_family(k, k) == catalan(k + 1)
 
 

@@ -50,7 +50,7 @@ from rookpaths import (
 from rookpaths import lattice_paths
 from rookpaths.lattice_paths import (
     MAX_BAND_BYTES,
-    MAX_STAIRCASE_WORK,
+    MAX_STAIRCASE_K,
     MAX_TAIL_LENGTH,
     MAX_TAIL_ROWS,
     _count_below,
@@ -1137,13 +1137,23 @@ def test_identity_cor35_values():
 
 
 def test_identity_cor35_range():
-    # The binomial tables against the literal double sums of the paper.
+    # The iterative count against the literal double sums of the paper.
     for k in [*range(2, 61), 160]:
         lhs, rhs, equal = verify_identity_cor35(k)
         assert equal and lhs == rhs == catalan(k + 1), k
         assert rhs == cor35_rhs_literal(k), k
     with pytest.raises(ValueError):
         verify_identity_cor35(1)
+
+
+def test_identity_cor35_right_side_is_the_iterative_count(monkeypatch):
+    # The right side is the library's iterative route on the staircase
+    # (k, k-1, ..., 1), whatever that route returns.
+    counted = []
+    monkeypatch.setattr(lattice_paths, "count_below_decreasing_iterative",
+                        lambda lam: counted.append(lam) or -1)
+    assert verify_identity_cor35(4) == (42, -1, False)
+    assert counted == [dec((4, 3, 2, 1))]
 
 
 def test_identity_cor34_band_bound(monkeypatch):
@@ -1167,15 +1177,19 @@ def test_identity_cor34_band_bound(monkeypatch):
         assert str(refused.value) == message
 
 
-def test_identity_cor35_work_bound():
-    # k^2 b (k + b), b the bit length of k: k = 1025 is the last within it.
-    assert 1025**2 * 11 * (1025 + 11) <= MAX_STAIRCASE_WORK < 1026**2 * 11 * (1026 + 11)
-    message = ("staircase work m^2 b (m + b), b = bit_length(k), exceeds bound "
-               f"{MAX_STAIRCASE_WORK}")
-    for k in (1026, 10**5):
+def test_identity_cor35_work_bound(monkeypatch):
+    # k = MAX_STAIRCASE_K (CI's console check) is counted; k = 1 and every k
+    # past the ceiling are refused before any count runs.
+    counted = []
+    monkeypatch.setattr(lattice_paths, "count_below_decreasing_iterative",
+                        lambda lam: counted.append(len(lam)) or 0)
+    c = catalan(MAX_STAIRCASE_K + 1)
+    assert verify_identity_cor35(MAX_STAIRCASE_K) == (c, 0, False)
+    for k in (1, MAX_STAIRCASE_K + 1, 10**5):
         with pytest.raises(ValueError) as refused:
             verify_identity_cor35(k)
-        assert str(refused.value) == message
+        assert str(refused.value) == f"k must be within 2..{MAX_STAIRCASE_K}, got {k}"
+    assert counted == [MAX_STAIRCASE_K]
 
 
 def test_gamma_k_on_the_mixed_family_boundary():
